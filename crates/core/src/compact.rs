@@ -22,6 +22,7 @@
 use crate::algorithm::QueryScratch;
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
 use crate::config::{validate_scale, ConfigError, FairSWConfig};
+use crate::guess::CoresetEntry;
 use crate::guess_set::{DeadList, GuessSet, GuessSlot};
 use crate::memo::{prefix_for, QueryMemo};
 use crate::parallel::{Exec, ParallelismSpec};
@@ -30,29 +31,22 @@ use fairsw_sequential::{FairCenterSolver, Jones};
 use fairsw_stream::Lattice;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// An `RV` entry of the compact variant: handle, color and the
-/// v-attractor that attracted it.
-#[derive(Clone, Copy, Debug)]
-struct RvEntry {
-    id: PointId,
-    color: u32,
-    attractor: u64,
-}
-
-/// Per-guess state of the compact variant.
+/// Per-guess state of the compact variant. An `RV` entry has the shape
+/// of a coreset entry: handle, color, and the v-attractor that
+/// attracted it.
 #[derive(Clone, Debug)]
-struct CompactGuess {
-    gamma: f64,
+pub(crate) struct CompactGuess {
+    pub(crate) gamma: f64,
     /// v-attractors, pairwise `> 2γ`, at most `k+1` after Update.
-    av: BTreeMap<u64, PointId>,
+    pub(crate) av: BTreeMap<u64, PointId>,
     /// Per-attractor, per-color representative times (sorted deques).
-    reps_v: HashMap<u64, Vec<VecDeque<u64>>>,
+    pub(crate) reps_v: HashMap<u64, Vec<VecDeque<u64>>>,
     /// All representatives (current + orphans of dead attractors).
-    rv: BTreeMap<u64, RvEntry>,
+    pub(crate) rv: BTreeMap<u64, CoresetEntry>,
     /// Arena ids observed crossing refcount zero (owner drains).
-    dead: DeadList,
+    pub(crate) dead: DeadList,
     /// Revision counter for the query memo (bumps on family mutation).
-    rev: u64,
+    pub(crate) rev: u64,
 }
 
 impl GuessSlot for CompactGuess {
@@ -71,7 +65,7 @@ impl GuessSlot for CompactGuess {
 }
 
 impl CompactGuess {
-    fn new(gamma: f64) -> Self {
+    pub(crate) fn new(gamma: f64) -> Self {
         CompactGuess {
             gamma,
             av: BTreeMap::new(),
@@ -139,7 +133,7 @@ impl CompactGuess {
                 self.reps_v.insert(t, per);
                 self.rv.insert(
                     t,
-                    RvEntry {
+                    CoresetEntry {
                         id,
                         color,
                         attractor: t,
@@ -153,7 +147,7 @@ impl CompactGuess {
                 per[ci].push_back(t);
                 self.rv.insert(
                     t,
-                    RvEntry {
+                    CoresetEntry {
                         id,
                         color,
                         attractor: v,
@@ -257,14 +251,14 @@ impl CompactGuess {
 /// approximation, space free of the doubling dimension.
 #[derive(Clone, Debug)]
 pub struct CompactFairSlidingWindow<M: Metric> {
-    metric: M,
-    cfg: FairSWConfig,
-    k: usize,
-    set: GuessSet<CompactGuess, M::Point>,
-    t: u64,
-    exec: Exec,
-    scratch: QueryScratch<M::Point>,
-    memo: QueryMemo<M::Point>,
+    pub(crate) metric: M,
+    pub(crate) cfg: FairSWConfig,
+    pub(crate) k: usize,
+    pub(crate) set: GuessSet<CompactGuess, M::Point>,
+    pub(crate) t: u64,
+    pub(crate) exec: Exec,
+    pub(crate) scratch: QueryScratch<M::Point>,
+    pub(crate) memo: QueryMemo<M::Point>,
 }
 
 impl<M: Metric> CompactFairSlidingWindow<M> {

@@ -313,13 +313,18 @@ impl<M: Metric> WindowEngine<M> {
         }
     }
 
-    /// The number of fairness colors of the fixed-lattice variant's
-    /// configuration (`None` for the other variants; serving layers use
-    /// this for spool-restored tenants, which are always fixed).
-    pub fn num_colors(&self) -> Option<usize> {
+    /// The number of colors the engine accepts (`0..num_colors()`):
+    /// the configuration's capacity count, or the colors the matroid
+    /// variant's constraint names (see [`AnyMatroid::num_colors`]).
+    /// Serving layers validate ingest against it, including for tenants
+    /// restored from a snapshot alone.
+    pub fn num_colors(&self) -> usize {
         match &self.kind {
-            EngineKind::Fixed(e) => Some(e.config().num_colors()),
-            _ => None,
+            EngineKind::Fixed(e) => e.cfg.num_colors(),
+            EngineKind::Oblivious(e) => e.cfg.num_colors(),
+            EngineKind::Compact(e) => e.cfg.num_colors(),
+            EngineKind::Robust(e) => e.cfg.num_colors(),
+            EngineKind::Matroid(e) => e.matroid.num_colors(),
         }
     }
 
@@ -358,8 +363,8 @@ impl<M: Metric> WindowEngine<M> {
     }
 }
 
-/// Magic tag prefixed to FSW2 bytes when the engine carries an ingest
-/// projection: the trailer-free FSW2 payload follows a 21-byte header
+/// Magic tag prefixed to a variant snapshot when the engine carries an
+/// ingest projection: the variant's bytes follow a 21-byte header
 /// (`"FSWP"`, `out_dim: u32`, `seed: u64`, `sparse: u8`, `in_dim: u32`,
 /// little-endian; `in_dim = 0` when the matrix never materialized).
 /// Stored window payloads are already projected, so restore reprojects
@@ -370,18 +375,13 @@ impl<M: Metric> WindowEngine<M>
 where
     M::Point: crate::snapshot::PointCodec,
 {
-    /// Serializes the engine's complete state as a self-contained FSW2
-    /// snapshot (see [`crate::snapshot`]). Only the fixed-lattice main
-    /// algorithm supports checkpointing today; the other variants return
-    /// `None` (callers such as the serving layer report the tenant as
-    /// unsupported instead of failing). An ingest projection rides as a
-    /// tiny parameter header — per the seed contract the matrix itself
-    /// is never serialized.
+    /// Serializes the engine's complete state as a self-contained
+    /// snapshot in its variant's layout (see [`crate::snapshot`]). Every
+    /// variant checkpoints, so this is always `Some`. An ingest
+    /// projection rides as a tiny parameter header — per the seed
+    /// contract the matrix itself is never serialized.
     pub fn snapshot(&self) -> Option<Vec<u8>> {
-        let inner = match &self.kind {
-            EngineKind::Fixed(e) => e.snapshot(),
-            _ => return None,
-        };
+        let inner = dispatch!(&self.kind, e => e.snapshot());
         Some(match &self.proj {
             None => inner,
             Some(p) => {
@@ -398,14 +398,17 @@ where
         })
     }
 
-    /// Reconstructs a fixed-variant engine from a snapshot produced by
-    /// [`snapshot`](Self::snapshot), including a carried projection
-    /// (rematerialized from its seed, bit-identical to the original).
-    /// The restored engine starts sequential; re-apply
+    /// Reconstructs an engine from a snapshot produced by
+    /// [`snapshot`](Self::snapshot): the variant is read from the
+    /// snapshot's magic, and a carried projection is rematerialized from
+    /// its seed, bit-identical to the original. The restored engine
+    /// starts sequential; re-apply
     /// [`with_parallelism`](Self::with_parallelism) to restore a pool.
     pub fn restore(metric: M, bytes: &[u8]) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        if bytes.len() >= 4 && &bytes[..4] == PROJ_SNAPSHOT_MAGIC {
+        use crate::snapshot::{
+            SnapshotError, COMPACT_MAGIC, FIXED_MAGIC, MATROID_MAGIC, OBLIVIOUS_MAGIC, ROBUST_MAGIC,
+        };
+        let (proj, inner) = if bytes.starts_with(PROJ_SNAPSHOT_MAGIC) {
             if bytes.len() < 21 {
                 return Err(SnapshotError::Truncated);
             }
@@ -426,21 +429,31 @@ where
                     "projection out_dim must be positive".into(),
                 ));
             }
-            let inner = FairSlidingWindow::restore(metric, &bytes[21..])?;
             let mut proj = EngineProjection::new(out_dim, seed, sparse);
             if in_dim > 0 {
                 proj.materialize(in_dim);
             }
-            Ok(WindowEngine {
-                kind: EngineKind::Fixed(Box::new(inner)),
-                proj: Some(proj),
-            })
+            (Some(proj), &bytes[21..])
         } else {
-            Ok(WindowEngine {
-                kind: EngineKind::Fixed(Box::new(FairSlidingWindow::restore(metric, bytes)?)),
-                proj: None,
-            })
-        }
+            (None, bytes)
+        };
+        let magic = inner.get(..4).ok_or(SnapshotError::Truncated)?;
+        let kind = if magic == FIXED_MAGIC {
+            EngineKind::Fixed(Box::new(FairSlidingWindow::restore(metric, inner)?))
+        } else if magic == ROBUST_MAGIC {
+            EngineKind::Robust(Box::new(RobustFairSlidingWindow::restore(metric, inner)?))
+        } else if magic == COMPACT_MAGIC {
+            EngineKind::Compact(Box::new(CompactFairSlidingWindow::restore(metric, inner)?))
+        } else if magic == OBLIVIOUS_MAGIC {
+            EngineKind::Oblivious(Box::new(ObliviousFairSlidingWindow::restore(
+                metric, inner,
+            )?))
+        } else if magic == MATROID_MAGIC {
+            EngineKind::Matroid(Box::new(MatroidSlidingWindow::restore(metric, inner)?))
+        } else {
+            return Err(SnapshotError::BadMagic);
+        };
+        Ok(WindowEngine { kind, proj })
     }
 }
 
@@ -924,22 +937,37 @@ mod tests {
     }
 
     #[test]
-    fn engine_snapshot_roundtrips_fixed_and_declines_others() {
-        let mut fixed = base().fixed(0.01, 1e4).build(Euclidean).unwrap();
-        let mut obl = base().oblivious().build(Euclidean).unwrap();
+    fn engine_snapshot_roundtrips_every_variant() {
+        let laminar =
+            LaminarMatroid::new(vec![Group::new(vec![0], 1), Group::new(vec![0, 1], 2)]).unwrap();
+        let mut fleet: Vec<WindowEngine<Euclidean>> = vec![
+            base().fixed(0.01, 1e4).build(Euclidean).unwrap(),
+            base().oblivious().build(Euclidean).unwrap(),
+            base().compact(0.01, 1e4).build(Euclidean).unwrap(),
+            base().robust(1, 0.01, 1e4).build(Euclidean).unwrap(),
+            base().matroid(laminar, 0.01, 1e4).build(Euclidean).unwrap(),
+        ];
         for i in 0..60u64 {
             let p = cp((i as f64 * 0.618_033_988_7).fract() * 200.0, (i % 2) as u32);
-            fixed.insert(p.clone());
-            obl.insert(p);
+            for e in &mut fleet {
+                e.insert(p.clone());
+            }
         }
-        assert!(obl.snapshot().is_none());
-        let bytes = fixed.snapshot().expect("fixed variant snapshots");
-        let restored = WindowEngine::restore(Euclidean, &bytes).unwrap();
-        assert_eq!(restored.variant_name(), "fixed");
-        assert_eq!(restored.time(), fixed.time());
-        let (a, b) = (fixed.query().unwrap(), restored.query().unwrap());
-        assert_eq!(a.guess.to_bits(), b.guess.to_bits());
-        assert_eq!(a.coreset_radius.to_bits(), b.coreset_radius.to_bits());
+        for e in &fleet {
+            let name = e.variant_name();
+            let bytes = e.snapshot().expect("every variant snapshots");
+            let restored = WindowEngine::restore(Euclidean, &bytes).unwrap();
+            assert_eq!(restored.variant_name(), name);
+            assert_eq!(restored.time(), e.time(), "{name}");
+            assert_eq!(restored.num_colors(), 2, "{name}");
+            let (a, b) = (e.query().unwrap(), restored.query().unwrap());
+            assert_eq!(a.guess.to_bits(), b.guess.to_bits(), "{name}");
+            assert_eq!(
+                a.coreset_radius.to_bits(),
+                b.coreset_radius.to_bits(),
+                "{name}"
+            );
+        }
     }
 
     fn wide(i: u64, dim: usize) -> Colored<EuclidPoint> {
@@ -984,7 +1012,7 @@ mod tests {
         for i in 0..60 {
             orig.insert(wide(i, 96));
         }
-        let bytes = orig.snapshot().expect("fixed variant snapshots");
+        let bytes = orig.snapshot().expect("every variant snapshots");
         let mut restored = WindowEngine::restore(Euclidean, &bytes).unwrap();
         let rp = restored.projection().expect("projection restored");
         assert_eq!((rp.out_dim(), rp.seed(), rp.sparse()), (8, 1234, false));

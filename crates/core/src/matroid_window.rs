@@ -30,6 +30,7 @@
 use crate::algorithm::QueryScratch;
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
 use crate::config::{validate_scale, ConfigError};
+use crate::guess::CoresetEntry;
 use crate::guess_set::{DeadList, GuessSet, GuessSlot};
 use crate::memo::{prefix_for, QueryMemo};
 use crate::parallel::{Exec, ParallelismSpec};
@@ -43,20 +44,20 @@ use std::collections::{BTreeMap, HashMap};
 /// to the partition algorithm; coreset rep sets kept independent via
 /// circuit eviction). All families hold arena handles.
 #[derive(Clone, Debug)]
-struct MatroidGuess {
-    gamma: f64,
-    av: BTreeMap<u64, PointId>,
-    rep_of: HashMap<u64, u64>,
-    rv: BTreeMap<u64, PointId>,
-    a: BTreeMap<u64, PointId>,
+pub(crate) struct MatroidGuess {
+    pub(crate) gamma: f64,
+    pub(crate) av: BTreeMap<u64, PointId>,
+    pub(crate) rep_of: HashMap<u64, u64>,
+    pub(crate) rv: BTreeMap<u64, PointId>,
+    pub(crate) a: BTreeMap<u64, PointId>,
     /// Per-attractor representative arrival times, sorted (push-back).
-    reps: HashMap<u64, Vec<u64>>,
+    pub(crate) reps: HashMap<u64, Vec<u64>>,
     /// Coreset entries: handle, color, attractor.
-    r: BTreeMap<u64, (PointId, u32, u64)>,
+    pub(crate) r: BTreeMap<u64, CoresetEntry>,
     /// Arena ids observed crossing refcount zero (owner drains).
-    dead: DeadList,
+    pub(crate) dead: DeadList,
     /// Revision counter for the query memo (bumps on family mutation).
-    rev: u64,
+    pub(crate) rev: u64,
 }
 
 impl GuessSlot for MatroidGuess {
@@ -75,7 +76,7 @@ impl GuessSlot for MatroidGuess {
 }
 
 impl MatroidGuess {
-    fn new(gamma: f64) -> Self {
+    pub(crate) fn new(gamma: f64) -> Self {
         MatroidGuess {
             gamma,
             av: BTreeMap::new(),
@@ -112,8 +113,8 @@ impl MatroidGuess {
         // Timing invariant (same as the partition variant): an expiring
         // representative's attractor is at least as old, hence already
         // gone — no live rep list needs fixing.
-        if let Some((id, _, _)) = self.r.remove(&te) {
-            self.dead.release(res, id);
+        if let Some(e) = self.r.remove(&te) {
+            self.dead.release(res, e.id);
             removed = true;
         }
         if removed {
@@ -179,7 +180,7 @@ impl MatroidGuess {
                 continue;
             }
             let times = self.reps.get(&ta).map(Vec::as_slice).unwrap_or(&[]);
-            let mut colors: Vec<u32> = times.iter().map(|tt| self.r[tt].1).collect();
+            let mut colors: Vec<u32> = times.iter().map(|tt| self.r[tt].color).collect();
             colors.push(color);
             if no_evict.is_none() && matroid.is_independent(&colors) {
                 no_evict = Some(ta);
@@ -199,7 +200,14 @@ impl MatroidGuess {
                 res.acquire(id);
                 if matroid.is_independent(&[color]) {
                     self.reps.insert(t, vec![t]);
-                    self.r.insert(t, (id, color, t));
+                    self.r.insert(
+                        t,
+                        CoresetEntry {
+                            id,
+                            color,
+                            attractor: t,
+                        },
+                    );
                     res.acquire(id);
                 } else {
                     self.reps.insert(t, Vec::new());
@@ -207,11 +215,16 @@ impl MatroidGuess {
             }
             Some(ta) => {
                 let times = self.reps.get_mut(&ta).expect("live attractor");
-                let mut colors: Vec<u32> = times.iter().map(|tt| self.r[tt].1).collect();
+                let mut colors: Vec<u32> = times.iter().map(|tt| self.r[tt].color).collect();
                 colors.push(color);
+                let entry = CoresetEntry {
+                    id,
+                    color,
+                    attractor: ta,
+                };
                 if matroid.is_independent(&colors) {
                     times.push(t);
-                    self.r.insert(t, (id, color, ta));
+                    self.r.insert(t, entry);
                     res.acquire(id);
                 } else {
                     // Circuit eviction: drop the oldest element whose
@@ -224,7 +237,7 @@ impl MatroidGuess {
                             .iter()
                             .enumerate()
                             .filter(|(j, _)| *j != i)
-                            .map(|(_, tt)| self.r[tt].1)
+                            .map(|(_, tt)| self.r[tt].color)
                             .chain(std::iter::once(color))
                             .collect();
                         if matroid.is_independent(&cols) {
@@ -234,11 +247,11 @@ impl MatroidGuess {
                     }
                     if let Some(i) = evict {
                         let dead_t = times.remove(i);
-                        if let Some((oid, _, _)) = self.r.remove(&dead_t) {
-                            self.dead.release(res, oid);
+                        if let Some(e) = self.r.remove(&dead_t) {
+                            self.dead.release(res, e.id);
                         }
                         times.push(t);
-                        self.r.insert(t, (id, color, ta));
+                        self.r.insert(t, entry);
                         res.acquire(id);
                     }
                 }
@@ -266,8 +279,8 @@ impl MatroidGuess {
                 self.dead.release(res, id);
             }
             let keep_r = self.r.split_off(&tmin);
-            for (_, (id, _, _)) in std::mem::replace(&mut self.r, keep_r) {
-                self.dead.release(res, id);
+            for (_, e) in std::mem::replace(&mut self.r, keep_r) {
+                self.dead.release(res, e.id);
             }
         }
     }
@@ -341,11 +354,11 @@ impl MatroidGuess {
             for &time in times {
                 match self.r.get(&time) {
                     None => return Err(format!("tracked rep {time} missing from R")),
-                    Some(&(id, c, att)) => {
-                        if att != a {
+                    Some(e) => {
+                        if e.attractor != a {
                             return Err(format!("R entry {time} attractor mismatch"));
                         }
-                        let Some(rp) = res.try_get(id) else {
+                        let Some(rp) = res.try_get(e.id) else {
                             return Err(format!("R entry {time} holds a collected id"));
                         };
                         let d = metric.dist(rp, res.get(self.a[&a]));
@@ -354,7 +367,7 @@ impl MatroidGuess {
                                 "rep {time} at distance {d} > δγ/2 from attractor {a}"
                             ));
                         }
-                        colors.push(c);
+                        colors.push(e.color);
                     }
                 }
             }
@@ -369,16 +382,16 @@ impl MatroidGuess {
 /// Sliding-window matroid center under an arbitrary matroid over colors.
 #[derive(Clone, Debug)]
 pub struct MatroidSlidingWindow<M: Metric, Mat: Matroid<u32>> {
-    metric: M,
-    matroid: Mat,
-    window_size: usize,
-    delta: f64,
-    k: usize,
-    set: GuessSet<MatroidGuess, M::Point>,
-    t: u64,
-    exec: Exec,
-    scratch: QueryScratch<M::Point>,
-    memo: QueryMemo<M::Point>,
+    pub(crate) metric: M,
+    pub(crate) matroid: Mat,
+    pub(crate) window_size: usize,
+    pub(crate) delta: f64,
+    pub(crate) k: usize,
+    pub(crate) set: GuessSet<MatroidGuess, M::Point>,
+    pub(crate) t: u64,
+    pub(crate) exec: Exec,
+    pub(crate) scratch: QueryScratch<M::Point>,
+    pub(crate) memo: QueryMemo<M::Point>,
 }
 
 impl<M: Metric, Mat: Matroid<u32>> MatroidSlidingWindow<M, Mat> {
@@ -549,8 +562,8 @@ where
                     &mut s.min_dist,
                     &mut s.packed,
                 )?;
-                let ids: Vec<PointId> = g.r.values().map(|&(id, _, _)| id).collect();
-                let colors: Vec<u32> = g.r.values().map(|&(_, c, _)| c).collect();
+                let ids: Vec<PointId> = g.r.values().map(|e| e.id).collect();
+                let colors: Vec<u32> = g.r.values().map(|e| e.color).collect();
                 let idx_matroid = OverColors::new(&colors, &self.matroid);
                 Some(
                     matroid_center_ids(&self.metric, res, &ids, &idx_matroid)

@@ -43,36 +43,36 @@ use std::collections::BTreeMap;
 
 /// A materialized guess plus its birth time (for maturity tracking).
 #[derive(Clone, Debug)]
-struct BornGuess {
-    state: GuessState,
-    born: u64,
+pub(crate) struct BornGuess {
+    pub(crate) state: GuessState,
+    pub(crate) born: u64,
 }
 
 /// The oblivious sliding-window algorithm: no prior scale knowledge.
 #[derive(Clone, Debug)]
 pub struct ObliviousFairSlidingWindow<M: Metric> {
-    metric: M,
-    cfg: FairSWConfig,
-    k: usize,
-    lattice: Lattice,
+    pub(crate) metric: M,
+    pub(crate) cfg: FairSWConfig,
+    pub(crate) k: usize,
+    pub(crate) lattice: Lattice,
     /// Materialized guesses keyed by lattice level (ascending).
-    guesses: BTreeMap<i32, BornGuess>,
+    pub(crate) guesses: BTreeMap<i32, BornGuess>,
     /// The shared interned arena the guesses' handles point into.
-    store: PointStore<M::Point>,
-    diam: DiameterEstimator<M>,
+    pub(crate) store: PointStore<M::Point>,
+    pub(crate) diam: DiameterEstimator<M>,
     /// Windowed minimum of consecutive-arrival distances: the descent
     /// floor for the lower cutoff.
-    consec_min: WindowedMinLattice,
-    /// Last arrival (fallback for degenerate all-coincident windows).
-    last: Option<Colored<M::Point>>,
-    prev_point: Option<M::Point>,
-    t: u64,
-    exec: Exec,
-    scratch: QueryScratch<M::Point>,
+    pub(crate) consec_min: WindowedMinLattice,
+    /// Last arrival: the previous point of the consecutive-distance
+    /// estimate, and the fallback for degenerate all-coincident windows.
+    pub(crate) last: Option<Colored<M::Point>>,
+    pub(crate) t: u64,
+    pub(crate) exec: Exec,
+    pub(crate) scratch: QueryScratch<M::Point>,
     /// Same-`t` result memo only: the guess set is dynamic (levels are
     /// materialized and retired between arrivals), so no cross-arrival
     /// prefix skipping is attempted for this variant.
-    memo: QueryMemo<M::Point>,
+    pub(crate) memo: QueryMemo<M::Point>,
 }
 
 /// How many levels to keep below the invalidity frontier.
@@ -101,7 +101,6 @@ impl<M: Metric> ObliviousFairSlidingWindow<M> {
             guesses: BTreeMap::new(),
             store: PointStore::new(),
             last: None,
-            prev_point: None,
             t: 0,
             exec: Exec::default(),
             scratch: QueryScratch::default(),
@@ -135,7 +134,6 @@ impl<M: Metric> ObliviousFairSlidingWindow<M> {
         self.diam = DiameterEstimator::new(self.metric.clone(), self.lattice, n);
         self.consec_min = WindowedMinLattice::new(self.lattice, n.max(2) - 1);
         self.last = None;
-        self.prev_point = None;
         self.t = 0;
         self.memo.clear();
     }
@@ -328,13 +326,12 @@ where
 
         // Scale estimators.
         self.diam.push(t, &p.point);
-        if let Some(prev) = &self.prev_point {
-            let d = self.metric.dist(prev, &p.point);
+        if let Some(prev) = &self.last {
+            let d = self.metric.dist(&prev.point, &p.point);
             self.consec_min.push(t, d);
         } else {
             self.consec_min.expire(t);
         }
-        self.prev_point = Some(p.point.clone());
         self.last = Some(p.clone());
 
         self.adjust_range();

@@ -41,19 +41,19 @@ use fairsw_stream::Lattice;
 /// Sliding-window fair center tolerating up to `z` outliers per window.
 #[derive(Clone, Debug)]
 pub struct RobustFairSlidingWindow<M: Metric> {
-    metric: M,
-    cfg: FairSWConfig,
+    pub(crate) metric: M,
+    pub(crate) cfg: FairSWConfig,
     /// Original budgets (the solution constraint).
-    k: usize,
+    pub(crate) k: usize,
     /// Tolerated outliers.
-    z: usize,
+    pub(crate) z: usize,
     /// Inflated per-color caps `k_i + z` maintained in the coreset.
-    inflated_caps: Vec<usize>,
-    set: GuessSet<GuessState, M::Point>,
-    t: u64,
-    exec: Exec,
-    scratch: QueryScratch<M::Point>,
-    memo: QueryMemo<M::Point>,
+    pub(crate) inflated_caps: Vec<usize>,
+    pub(crate) set: GuessSet<GuessState, M::Point>,
+    pub(crate) t: u64,
+    pub(crate) exec: Exec,
+    pub(crate) scratch: QueryScratch<M::Point>,
+    pub(crate) memo: QueryMemo<M::Point>,
 }
 
 impl<M: Metric> RobustFairSlidingWindow<M> {

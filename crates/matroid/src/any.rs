@@ -23,6 +23,23 @@ pub enum AnyMatroid {
     Uniform(UniformMatroid),
 }
 
+impl AnyMatroid {
+    /// The colors `0..n` the constraint distinguishes: one per capacity
+    /// of a partition, up to the largest grouped color of a laminar
+    /// family. A uniform matroid caps cardinality only, so it accepts
+    /// every color (`usize::MAX`).
+    pub fn num_colors(&self) -> usize {
+        match self {
+            AnyMatroid::Partition(m) => m.num_colors(),
+            AnyMatroid::Laminar(m) => {
+                let max = m.groups().iter().flat_map(|g| g.colors.iter()).max();
+                max.map_or(0, |&c| c as usize + 1)
+            }
+            AnyMatroid::Uniform(_) => usize::MAX,
+        }
+    }
+}
+
 impl Matroid<u32> for AnyMatroid {
     fn is_independent(&self, set: &[u32]) -> bool {
         match self {
@@ -79,7 +96,10 @@ mod tests {
         assert!(!lam.is_independent(&[0, 0]));
         assert_eq!(lam.rank(), 2);
 
+        assert_eq!((part.num_colors(), lam.num_colors()), (2, 2));
+
         let uni: AnyMatroid = UniformMatroid::new(2).into();
+        assert_eq!(uni.num_colors(), usize::MAX);
         assert!(uni.is_independent(&[5, 9]));
         assert!(!uni.is_independent(&[5, 9, 2]));
         assert_eq!(uni.rank(), 2);

@@ -49,6 +49,9 @@ pub enum LaminarError {
     EmptyGroup(usize),
     /// No groups were given.
     NoGroups,
+    /// A color below the largest grouped color belongs to no group, so
+    /// it would be selectable without bound.
+    UncoveredColor(u32),
 }
 
 impl fmt::Display for LaminarError {
@@ -59,6 +62,12 @@ impl fmt::Display for LaminarError {
             }
             LaminarError::EmptyGroup(i) => write!(f, "group {i} has no colors"),
             LaminarError::NoGroups => write!(f, "at least one group is required"),
+            LaminarError::UncoveredColor(c) => {
+                write!(
+                    f,
+                    "color {c} is below the largest grouped color but in no group"
+                )
+            }
         }
     }
 }
@@ -68,8 +77,9 @@ impl std::error::Error for LaminarError {}
 /// The laminar matroid over colored elements: a set is independent iff
 /// every group's cap is respected by the multiset of selected colors.
 ///
-/// Colors not covered by any group are unconstrained (wrap everything in
-/// a top group to cap the total).
+/// Colors above the largest grouped color are unconstrained (wrap
+/// everything in a top group to cap the total); every color below it
+/// must belong to some group.
 #[derive(Clone, Debug)]
 pub struct LaminarMatroid {
     groups: Vec<Group>,
@@ -98,29 +108,35 @@ impl LaminarMatroid {
                 }
             }
         }
-        // Rank = maximum selectable elements: computed greedily by
-        // saturating colors one at a time (sound because this laminar
-        // structure is a matroid: greedy achieves the rank).
-        let max_color = groups
+        // Every color up to the largest grouped one must be capped by
+        // some group, or the rank below would be unbounded.
+        let covered: std::collections::BTreeSet<u32> = groups
             .iter()
-            .flat_map(|g| g.colors.iter())
-            .max()
-            .copied()
-            .unwrap_or(0);
-        let m = LaminarMatroid { groups, rank: 0 };
-        let mut counts: Vec<u32> = Vec::new();
-        'grow: loop {
-            for c in 0..=max_color {
-                counts.push(c);
-                if m.colors_independent(counts.iter().copied()) {
-                    continue 'grow;
-                }
-                counts.pop();
-            }
-            break;
+            .flat_map(|g| g.colors.iter().copied())
+            .collect();
+        let max_color = covered.last().copied().unwrap_or(0);
+        if covered.len() as u64 != max_color as u64 + 1 {
+            let missing = (0..=max_color).find(|c| !covered.contains(c)).unwrap_or(0);
+            return Err(LaminarError::UncoveredColor(missing));
         }
-        let rank = counts.len();
-        Ok(LaminarMatroid { rank, ..m })
+        // Rank = maximum selectable elements, computed greedily color by
+        // color (sound because this laminar structure is a matroid:
+        // greedy achieves the rank). Loads only grow, so each color takes
+        // as many copies as its tightest group still admits, once.
+        let mut loads = vec![0usize; groups.len()];
+        let mut rank = 0usize;
+        for c in 0..=max_color {
+            let containing = || groups.iter().enumerate().filter(|(_, g)| g.contains(c));
+            let take = containing()
+                .map(|(gi, g)| g.cap - loads[gi])
+                .min()
+                .unwrap_or(0);
+            for (gi, _) in containing() {
+                loads[gi] += take;
+            }
+            rank = rank.saturating_add(take);
+        }
+        Ok(LaminarMatroid { groups, rank })
     }
 
     /// The constituent groups.
@@ -183,6 +199,11 @@ mod tests {
             LaminarMatroid::new(vec![Group::new(vec![], 1)]),
             Err(LaminarError::EmptyGroup(0))
         ));
+        // A gap below the largest grouped color has no cap at all.
+        assert_eq!(
+            LaminarMatroid::new(vec![Group::new(vec![0], 1), Group::new(vec![2], 1)]).unwrap_err(),
+            LaminarError::UncoveredColor(1)
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!                      queue answers OVERLOADED (admission control)
 //!   --tick-ms N        idle flush tick in milliseconds (default 20)
 //!   --spool DIR        snapshot spool directory: CHECKPOINT writes
-//!                      FSW2 snapshots here and startup replays them
+//!                      engine snapshots here and startup replays them
 //!   --wal DIR          write-ahead-log root: every accepted write is
 //!                      logged before it is acked, and startup replays
 //!                      snapshot + WAL suffix (crash-safe durability)

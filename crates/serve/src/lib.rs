@@ -22,7 +22,7 @@
 //!   pool (`FAIRSW_THREADS`);
 //! * **admission control** — per-shard queues are bounded; a full queue
 //!   answers `OVERLOADED` instead of buffering without bound;
-//! * **crash recovery** — `CHECKPOINT` spools FSW2 snapshots; a
+//! * **crash recovery** — `CHECKPOINT` spools engine snapshots; a
 //!   per-tenant write-ahead log ([`wal`]) makes every *acknowledged*
 //!   write durable between checkpoints, with group-commit fsync,
 //!   segment compaction, and a `--follow` hot standby replicating the

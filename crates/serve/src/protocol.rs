@@ -711,7 +711,7 @@ pub enum Request {
         /// Tenant name.
         tenant: String,
     },
-    /// Writes FSW2 snapshots to the spool directory — the named tenant,
+    /// Writes engine snapshots to the spool directory — the named tenant,
     /// or every tenant when the name is empty.
     Checkpoint {
         /// Tenant name ("" = all tenants).

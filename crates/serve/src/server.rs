@@ -39,12 +39,13 @@
 //! to per-point insertion (the PR 2 guarantee), the flush schedule never
 //! shows up in answers.
 //!
-//! `CHECKPOINT` writes each tenant's FSW2 snapshot atomically
+//! `CHECKPOINT` writes each tenant's engine snapshot atomically
 //! (tmp + rename) to [`ServeConfig::spool_dir`]; [`Server::start`]
 //! replays the spool, so a kill-and-restart resumes every checkpointed
-//! tenant. `DELETE` resets the tenant's engine ([`WindowEngine::reset`])
-//! and parks it for reuse by the next `CREATE` with an identical
-//! configuration — delete-and-recreate churn costs no reconstruction.
+//! tenant, whatever its variant — the snapshot names it. `DELETE`
+//! resets the tenant's engine ([`WindowEngine::reset`]) and parks it
+//! for reuse by the next `CREATE` with an identical configuration —
+//! delete-and-recreate churn costs no reconstruction.
 //!
 //! [`insert_batch`]: fairsw_core::SlidingWindowClustering::insert_batch
 
@@ -70,7 +71,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Extension of spool files (one FSW2 snapshot per tenant).
+/// Extension of spool files (one engine snapshot per tenant).
 const SPOOL_EXT: &str = "fsw2";
 /// Recent query latencies retained per tenant for the percentiles.
 const LATENCY_WINDOW: usize = 512;
@@ -161,17 +162,18 @@ struct CacheEntry {
 /// The serve-side `QUERY` result cache, shared by every connection
 /// thread and every shard.
 ///
-/// Each tenant carries a *version*: a counter its shard bumps for every
-/// accepted state change — ingest (after the WAL accept), create,
-/// delete, and every replicated record a follower applies. Bumping
-/// clears the tenant's cached reply. A repeat `QUERY` at an unchanged
-/// version is answered straight from the cache on the connection
-/// thread, never touching the shard's engine; the first query after a
-/// change recomputes and re-records. Because a cached reply is the
-/// exact encoded reply a shard produced at a version no write has moved
-/// since, cache answers are byte-identical to a from-scratch recompute
-/// — the read-heavy differential lane enforces this on every thread
-/// leg.
+/// Each tenant carries a *version*: a counter bumped for every state
+/// change — by the router when it dispatches a write (ingest, create,
+/// delete), so a `QUERY` routed after it can no longer hit, and by the
+/// shard for create, delete and every replicated record a follower
+/// applies. Bumping clears the tenant's cached reply. A repeat `QUERY`
+/// at an unchanged version is answered straight from the cache on the
+/// connection thread, never touching the shard's engine; the first
+/// query after a change recomputes and re-records. Because a cached
+/// reply is the exact encoded reply a shard produced at a version no
+/// write has moved since, cache answers are byte-identical to a
+/// from-scratch recompute — the read-heavy differential lane enforces
+/// this on every thread leg.
 #[derive(Default)]
 struct QueryCache {
     entries: Mutex<HashMap<String, CacheEntry>>,
@@ -349,11 +351,6 @@ struct Tenant {
     /// for delete-and-recreate engine reuse.
     config: Option<TenantConfig>,
     variant_code: u8,
-    /// Colors the engine accepts (`0..ncolors`). The per-guess tables
-    /// are indexed by color, so an out-of-range wire color must be
-    /// rejected at ingest — it would panic the shard deep inside the
-    /// engine otherwise.
-    ncolors: usize,
     buffer: Vec<Colored<EuclidPoint>>,
     points_total: u64,
     created: Instant,
@@ -373,12 +370,6 @@ impl Tenant {
             "robust" => 3,
             _ => 4,
         };
-        let ncolors = match &config {
-            Some(c) => c.caps.len(),
-            // Spool-restored tenants are always the fixed variant; its
-            // configuration rode in the snapshot.
-            None => engine.num_colors().unwrap_or(0),
-        };
         let proj = config
             .as_ref()
             .and_then(|c| c.projection)
@@ -387,7 +378,6 @@ impl Tenant {
             engine,
             config,
             variant_code,
-            ncolors,
             buffer: Vec::new(),
             points_total: 0,
             created: Instant::now(),
@@ -411,22 +401,22 @@ impl Tenant {
         self
     }
 
-    /// Rejects colors the engine's capacity-indexed tables cannot hold.
+    /// Rejects colors the engine's color-indexed tables cannot hold —
+    /// they would panic the shard deep inside the engine otherwise. The
+    /// engine knows its colors whether it was created or restored.
     #[allow(clippy::result_large_err)] // Err is the wire `Reply`; cold path
     fn check_colors<'a>(
         &self,
         points: impl IntoIterator<Item = &'a Colored<EuclidPoint>>,
     ) -> Result<(), Reply> {
-        match points
-            .into_iter()
-            .find(|p| p.color as usize >= self.ncolors)
-        {
+        let ncolors = self.engine.num_colors();
+        match points.into_iter().find(|p| p.color as usize >= ncolors) {
             None => Ok(()),
             Some(p) => Err(Reply::Error(
                 ErrorKind::BadRequest,
                 format!(
-                    "color {} out of range (tenant has {} colors)",
-                    p.color, self.ncolors
+                    "color {} out of range (tenant has {ncolors} colors)",
+                    p.color
                 ),
             )),
         }
@@ -493,12 +483,16 @@ impl Tenant {
         }
     }
 
+    /// The engine snapshot (every variant checkpoints).
+    fn snapshot(&self) -> Vec<u8> {
+        self.engine.snapshot().expect("every variant snapshots")
+    }
+
     /// The tenant's spool representation: the engine snapshot, prefixed
     /// with the projection spec when the tenant projects (see
     /// [`spool_encode`]).
-    fn spool_bytes(&self) -> Option<Vec<u8>> {
-        let bytes = self.engine.snapshot()?;
-        Some(spool_encode(self.proj.as_ref().map(|p| p.spec), &bytes))
+    fn spool_bytes(&self) -> Vec<u8> {
+        spool_encode(self.proj.as_ref().map(|p| p.spec), &self.snapshot())
     }
 }
 
@@ -638,29 +632,18 @@ impl Shard {
         self.compact_due();
     }
 
-    /// Folds oversized WALs into spool snapshots (snapshot-capable
-    /// tenants with a spool only — for the rest the log *is* the
-    /// durable history and must be kept whole).
+    /// Folds every oversized WAL into a spool snapshot (servers with a
+    /// spool only — without one the log *is* the durable history and
+    /// must be kept whole).
     fn compact_due(&mut self) {
         let Some(dir) = self.cfg.spool_dir.clone() else {
             return;
         };
         for (name, t) in self.tenants.iter_mut() {
-            let due = t.wal.as_ref().is_some_and(TenantWal::wants_compaction);
-            if !due {
-                continue;
-            }
-            t.flush();
-            let Some(bytes) = t.spool_bytes() else {
-                continue;
-            };
-            match spool_write(&dir, name, &bytes) {
-                Ok(()) => {
-                    if let Err(e) = compact_log(t) {
-                        eprintln!("fairsw-served: wal compaction failed for {name:?}: {e}");
-                    }
+            if t.wal.as_ref().is_some_and(TenantWal::wants_compaction) {
+                if let Err(e) = checkpoint(&dir, name, t) {
+                    eprintln!("fairsw-served: compaction spool write for {name:?}: {e}");
                 }
-                Err(e) => eprintln!("fairsw-served: compaction spool write for {name:?}: {e}"),
             }
         }
     }
@@ -690,9 +673,10 @@ impl Shard {
                     {
                         return reply;
                     }
+                    // The router bumped the tenant's cache version when
+                    // it dispatched this write.
                     t.buffer.push(p);
                     t.points_total += 1;
-                    self.cache.bump(tenant);
                     if t.buffer.len() >= self.cfg.flush_batch {
                         t.flush();
                     }
@@ -719,7 +703,6 @@ impl Shard {
                     }
                     t.points_total += points.len() as u64;
                     t.buffer.extend(points);
-                    self.cache.bump(tenant);
                     if t.buffer.len() >= self.cfg.flush_batch {
                         t.flush();
                     }
@@ -760,37 +743,15 @@ impl Shard {
                     );
                 };
                 match self.tenants.get_mut(tenant) {
-                    Some(t) => {
-                        t.flush();
-                        match t.spool_bytes() {
-                            Some(bytes) => match spool_write(&dir, tenant, &bytes) {
-                                Ok(()) => {
-                                    // The snapshot covers the whole log:
-                                    // fold it away.
-                                    if let Err(e) = compact_log(t) {
-                                        eprintln!(
-                                            "fairsw-served: wal compaction failed for {tenant:?}: {e}"
-                                        );
-                                    }
-                                    Reply::Checkpointed {
-                                        written: 1,
-                                        skipped: 0,
-                                    }
-                                }
-                                Err(e) => Reply::Error(
-                                    ErrorKind::Unsupported,
-                                    format!("spool write failed: {e}"),
-                                ),
-                            },
-                            None => Reply::Error(
-                                ErrorKind::Unsupported,
-                                format!(
-                                    "variant {:?} does not support snapshots",
-                                    t.engine.variant_name()
-                                ),
-                            ),
+                    Some(t) => match checkpoint(&dir, tenant, t) {
+                        Ok(()) => Reply::Checkpointed {
+                            written: 1,
+                            skipped: 0,
+                        },
+                        Err(e) => {
+                            Reply::Error(ErrorKind::Unsupported, format!("spool write failed: {e}"))
                         }
-                    }
+                    },
                     None => no_such_tenant(tenant),
                 }
             }
@@ -883,51 +844,28 @@ impl Shard {
         Reply::Ok
     }
 
-    /// Bootstraps `sub` with every tenant's durable history, then adds
-    /// it to the live fan-out list. Snapshot-capable tenants ship one
-    /// `Create` + one fresh `Snapshot` record; the rest replay their
-    /// on-disk log (whose records double as the wire bootstrap).
+    /// Bootstraps `sub` with every tenant's current state — its
+    /// `Create` record (when the config is known) and one fresh
+    /// `Snapshot` record — then adds it to the live fan-out list. The
+    /// bootstrap costs O(engine state), whatever the tenant's history,
+    /// and needs no WAL.
     fn subscribe(&mut self, sub: Subscriber) -> Reply {
         for (name, t) in self.tenants.iter_mut() {
             t.flush();
             let mut frames: Vec<Vec<u8>> = Vec::new();
-            if let Some(config) = &t.config {
-                match encode_create_body(config) {
-                    Ok(body) => frames.push(body),
-                    Err(e) => {
-                        return Reply::Error(
-                            ErrorKind::Unsupported,
-                            format!("bootstrap encode of {name:?} failed: {e}"),
-                        )
-                    }
-                }
-            }
-            if let Some(bytes) = t.engine.snapshot() {
-                let mut body = Vec::with_capacity(bytes.len() + 8);
-                if let Err(e) = WalRecord::Snapshot(bytes).encode(&mut body) {
+            let records = t.config.clone().map(WalRecord::Create);
+            for record in records
+                .into_iter()
+                .chain([WalRecord::Snapshot(t.snapshot())])
+            {
+                let mut body = Vec::new();
+                if let Err(e) = record.encode(&mut body) {
                     return Reply::Error(
                         ErrorKind::Unsupported,
                         format!("bootstrap encode of {name:?} failed: {e}"),
                     );
                 }
                 frames.push(body);
-            } else if let Some(wal) = &mut t.wal {
-                // Sync first so the on-disk log holds every
-                // acknowledged record, then stream it.
-                let _ = wal.sync();
-                match read_log(wal.dir()) {
-                    Ok((records, _)) => {
-                        // The log starts with its own Create.
-                        frames.clear();
-                        frames.extend(records.iter().map(encode_record));
-                    }
-                    Err(e) => {
-                        return Reply::Error(
-                            ErrorKind::Unsupported,
-                            format!("bootstrap read of {name:?} failed: {e}"),
-                        )
-                    }
-                }
             }
             for body in frames {
                 // Blocking push: a bootstrap may exceed the queue
@@ -1051,28 +989,18 @@ impl Shard {
                 "server started without a spool directory".into(),
             );
         };
-        let (mut written, mut skipped) = (0u32, 0u32);
         for (name, t) in self.tenants.iter_mut() {
-            t.flush();
-            match t.spool_bytes() {
-                Some(bytes) => match spool_write(&dir, name, &bytes) {
-                    Ok(()) => {
-                        written += 1;
-                        if let Err(e) = compact_log(t) {
-                            eprintln!("fairsw-served: wal compaction failed for {name:?}: {e}");
-                        }
-                    }
-                    Err(e) => {
-                        return Reply::Error(
-                            ErrorKind::Unsupported,
-                            format!("spool write failed for {name:?}: {e}"),
-                        )
-                    }
-                },
-                None => skipped += 1,
+            if let Err(e) = checkpoint(&dir, name, t) {
+                return Reply::Error(
+                    ErrorKind::Unsupported,
+                    format!("spool write failed for {name:?}: {e}"),
+                );
             }
         }
-        Reply::Checkpointed { written, skipped }
+        Reply::Checkpointed {
+            written: self.tenants.len() as u32,
+            skipped: 0,
+        }
     }
 }
 
@@ -1116,19 +1044,27 @@ fn log_accept(
     Ok(())
 }
 
-/// Folds a tenant's log away after its snapshot reached the spool:
-/// compacts to a fresh segment and reseeds it with the tenant's
-/// `Create` record, so a compacted log stays self-describing (config
-/// included) across restarts. Purely local — subscribers see nothing.
-fn compact_log(t: &mut Tenant) -> io::Result<()> {
-    let config = t.config.clone();
+/// Checkpoints one tenant: flushes its buffer, writes its snapshot to
+/// the spool, then folds its log away — compacted to a fresh segment
+/// reseeded with the tenant's `Create` record, so a compacted log stays
+/// self-describing (config included) across restarts. A failed
+/// compaction only leaves the log longer; the error returned is the
+/// spool write's. Purely local — subscribers see nothing.
+fn checkpoint(dir: &std::path::Path, name: &str, t: &mut Tenant) -> io::Result<()> {
+    t.flush();
+    spool_write(dir, name, &t.spool_bytes())?;
     let Some(wal) = &mut t.wal else {
         return Ok(());
     };
-    wal.compact()?;
-    if let Some(config) = &config {
-        wal.append(&encode_create_body(config)?)?;
-        wal.sync()?;
+    let compacted = wal.compact().and_then(|()| match &t.config {
+        Some(config) => {
+            wal.append(&encode_create_body(config)?)?;
+            wal.sync()
+        }
+        None => Ok(()),
+    });
+    if let Err(e) = compacted {
+        eprintln!("fairsw-served: wal compaction failed for {name:?}: {e}");
     }
     Ok(())
 }
@@ -1154,11 +1090,11 @@ fn spool_write(dir: &std::path::Path, tenant: &str, bytes: &[u8]) -> io::Result<
 }
 
 /// Magic prefixing the spool snapshot of a *projecting* tenant. The
-/// engine holds already-projected points, so its FSW2 payload carries no
+/// engine holds already-projected points, so its snapshot carries no
 /// trace of the projection — without the header a spool-only restart
 /// (`--spool` without `--wal`) would come back accepting raw
 /// high-dimensional points unprojected. Non-projecting tenants keep the
-/// bare FSW2 format.
+/// bare snapshot.
 const SPOOL_PROJ_MAGIC: &[u8; 4] = b"FSWQ";
 
 /// Wraps an engine snapshot in the spool format: a 21-byte projection
@@ -1177,8 +1113,8 @@ fn spool_encode(proj: Option<WireProjection>, snapshot: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Splits a spool file into its optional projection spec and the FSW2
-/// payload. Headerless files (non-projecting tenants, or spools written
+/// Splits a spool file into its optional projection spec and the engine
+/// snapshot. Headerless files (non-projecting tenants, or spools written
 /// before projections existed) pass through untouched.
 fn spool_decode(bytes: &[u8]) -> Result<(Option<WireProjection>, &[u8]), String> {
     if !bytes.starts_with(SPOOL_PROJ_MAGIC) {
@@ -1291,7 +1227,7 @@ fn replay_all(cfg: &ServeConfig) -> Vec<(String, Tenant)> {
             .spool_dir
             .as_ref()
             .and_then(|d| std::fs::read(d.join(format!("{name}.{SPOOL_EXT}"))).ok());
-        // Peel the spool's projection header: the FSW2 payload goes to
+        // Peel the spool's projection header: the snapshot goes to
         // the replay; the spec backstops a log without a Create record.
         let (spool_proj, snapshot) = match raw_snapshot.as_deref().map(spool_decode).transpose() {
             Ok(v) => match v {
@@ -1470,16 +1406,12 @@ impl Server {
             })
         });
 
-        let role = Role {
-            wal_enabled: cfg.wal_dir.is_some(),
-            is_follower: Arc::clone(&is_follower),
-        };
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let (waker, wake_rx) = wake_pair()?;
         let router = Router {
             shard_txs: shard_txs.clone(),
             stop: Arc::clone(&stop),
-            role,
+            is_follower: Arc::clone(&is_follower),
             cache: Arc::clone(&cache),
             waker,
             conns: Arc::clone(&conns),
@@ -1505,17 +1437,6 @@ impl Server {
             conns,
         })
     }
-}
-
-/// The durability/replication role a connection serves under.
-#[derive(Clone)]
-struct Role {
-    /// The server was started with a WAL directory (`WAL_SUBSCRIBE`
-    /// requires it — there is nothing to stream otherwise).
-    wal_enabled: bool,
-    /// Still replicating from a leader: writes answer `READ_ONLY`
-    /// until `PROMOTE` clears this.
-    is_follower: Arc<AtomicBool>,
 }
 
 /// Outcome of a polled exact read.
@@ -1668,7 +1589,9 @@ impl PendingReply {
 pub(crate) struct Router {
     shard_txs: Vec<SyncSender<ShardMsg>>,
     stop: Arc<AtomicBool>,
-    role: Role,
+    /// Still replicating from a leader: writes answer `READ_ONLY`
+    /// until `PROMOTE` clears this.
+    is_follower: Arc<AtomicBool>,
     cache: Arc<QueryCache>,
     /// Cloned into every [`ReplyTx`] so shards can nudge the reactor.
     waker: Waker,
@@ -1695,7 +1618,7 @@ impl Router {
         }
         // A not-yet-promoted follower serves reads from replicated
         // state; writes must go to the leader (or wait for PROMOTE).
-        if self.role.is_follower.load(Ordering::SeqCst)
+        if self.is_follower.load(Ordering::SeqCst)
             && matches!(
                 req,
                 Request::Create { .. }
@@ -1712,7 +1635,7 @@ impl Router {
         }
         let (op, tenant) = match req {
             Request::Promote => {
-                return Routed::Ready(if self.role.is_follower.swap(false, Ordering::SeqCst) {
+                return Routed::Ready(if self.is_follower.swap(false, Ordering::SeqCst) {
                     // The replication thread sees the flag and detaches.
                     Reply::Ok
                 } else {
@@ -1771,8 +1694,11 @@ impl Router {
             Request::Query { tenant } => {
                 // A repeat query at an unchanged tenant version is
                 // answered straight from the cache — neither the shard
-                // nor the pipeline sees it. On a miss, the deferred
-                // store rides along with the pending reply.
+                // nor the pipeline sees it. Writes bump the version as
+                // they are dispatched (below), so a query pipelined
+                // behind a write the shard has not applied yet misses
+                // and queues behind it. On a miss, the deferred store
+                // rides along with the pending reply.
                 let (hit, version) = self.cache.begin_query(&tenant);
                 if let Some(reply) = hit {
                     return Routed::Ready(reply);
@@ -1788,6 +1714,12 @@ impl Router {
             Request::Checkpoint { tenant } => (Op::Checkpoint, tenant),
             Request::Delete { tenant } => (Op::Delete, tenant),
         };
+        if matches!(
+            op,
+            Op::Create(_) | Op::Insert(_) | Op::InsertBatch(_) | Op::Delete
+        ) {
+            self.cache.bump(&tenant);
+        }
         self.dispatch(tenant, op, None)
     }
 
@@ -1828,13 +1760,12 @@ impl Router {
     pub(crate) fn spawn_subscription(&self, stream: TcpStream) {
         let txs = self.shard_txs.clone();
         let stop = Arc::clone(&self.stop);
-        let role = self.role.clone();
         let handle = std::thread::spawn(move || {
             if stream.set_nonblocking(false).is_err() {
                 return;
             }
             let mut writer = io::BufWriter::new(stream);
-            serve_subscription(&mut writer, &txs, &stop, &role);
+            serve_subscription(&mut writer, &txs, &stop);
         });
         let mut conns = self.conns.lock().unwrap_or_else(|p| p.into_inner());
         // Reap finished subscriptions so the handle list tracks live
@@ -1853,21 +1784,14 @@ impl Router {
 
 /// Handles a `WAL_SUBSCRIBE` connection: bootstrap every shard onto a
 /// fresh subscription, ack, then drain queued `WAL_APPEND` frames onto
-/// the socket until the subscriber hangs up or the server stops.
+/// the socket until the subscriber hangs up or the server stops. The
+/// bootstrap ships snapshots and the live tail is fanned out at accept
+/// time, so a leader needs no WAL of its own to replicate.
 fn serve_subscription(
     writer: &mut impl io::Write,
     shard_txs: &[SyncSender<ShardMsg>],
     stop: &AtomicBool,
-    role: &Role,
 ) {
-    if !role.wal_enabled {
-        let reply = Reply::Error(
-            ErrorKind::Unsupported,
-            "server started without --wal; nothing to replicate".into(),
-        );
-        let _ = write_frame(writer, &reply_bytes(&reply));
-        return;
-    }
     let (sub, rx) = subscription();
     for tx in shard_txs {
         let (rtx, rrx) = mpsc::channel();
@@ -2207,6 +2131,58 @@ mod tests {
             other => panic!("unexpected stats reply {other:?}"),
         }
         assert!(matches!(read_reply(&mut stream), Reply::Solution(_)));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn pipelined_query_behind_an_unapplied_insert_sees_the_insert() {
+        use std::io::Write;
+        let cfg = ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        };
+        let handle = Server::start("127.0.0.1:0", cfg).unwrap();
+        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+        let tenant = || "stale".to_string();
+        let first: Vec<_> = (0..30).map(|i| pt(i as f64, (i % 2) as u32)).collect();
+        let second: Vec<_> = (0..30)
+            .map(|i| pt(5000.0 + 7.0 * i as f64, (i % 2) as u32))
+            .collect();
+        // Warm the cache: the repeat query is answered from it.
+        for req in [
+            Request::Create {
+                tenant: tenant(),
+                config: cfg_fixed(40),
+            },
+            Request::InsertBatch {
+                tenant: tenant(),
+                points: first.clone(),
+            },
+            Request::Query { tenant: tenant() },
+            Request::Query { tenant: tenant() },
+        ] {
+            stream.write_all(&raw_frame(&req)).unwrap();
+            assert!(!matches!(read_reply(&mut stream), Reply::Error(..)));
+        }
+        // Hold the shard, so the router sees the query while the write
+        // ahead of it on the same connection is still queued.
+        handle.stall_shard(0, Duration::from_millis(200));
+        std::thread::sleep(Duration::from_millis(20));
+        let mut frames = raw_frame(&Request::InsertBatch {
+            tenant: tenant(),
+            points: second.clone(),
+        });
+        frames.extend(raw_frame(&Request::Query { tenant: tenant() }));
+        stream.write_all(&frames).unwrap();
+        assert_eq!(read_reply(&mut stream), Reply::Ok);
+        let got = read_reply(&mut stream);
+        let mut oracle = cfg_fixed(40).build_engine().unwrap();
+        oracle.insert_batch(first.into_iter().chain(second));
+        assert_eq!(
+            got.encode().unwrap(),
+            Reply::from_query(&oracle.query()).encode().unwrap(),
+            "pipelined QUERY answered from before the INSERT_BATCH ahead of it"
+        );
         handle.shutdown();
     }
 

@@ -195,7 +195,7 @@ mod tests {
         let all = batches(12, 5);
         let mut first = config().build_engine().unwrap();
         first.insert_batch(all[..7].iter().flat_map(|(_, ps)| ps.iter().cloned()));
-        let snap = first.snapshot().expect("fixed variant snapshots");
+        let snap = first.snapshot().expect("every variant snapshots");
         let records: Vec<WalRecord> = all
             .iter()
             .map(|(start, points)| WalRecord::Batch {

@@ -78,9 +78,9 @@ const REC_DELETE: u8 = 4;
 
 /// One durable log record. `Create` and `Batch` are what shard threads
 /// append to disk; `Snapshot` and `Delete` additionally travel on the
-/// replication stream (a follower bootstraps snapshot-capable tenants
-/// from a fresh snapshot instead of replaying their whole history, and
-/// hears deletions live).
+/// replication stream (a follower bootstraps every tenant from a fresh
+/// snapshot instead of replaying its history, and hears deletions
+/// live).
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
     /// The tenant was created with this configuration. Always the first
@@ -95,7 +95,7 @@ pub enum WalRecord {
         /// The accepted points, in stream order.
         points: Vec<Colored<EuclidPoint>>,
     },
-    /// A full FSW2 engine snapshot (replication bootstrap only; on disk
+    /// A full engine snapshot (replication bootstrap only; on disk
     /// snapshots live in the spool, not the log).
     Snapshot(Vec<u8>),
     /// The tenant was deleted (replication only; on disk a deletion

@@ -30,7 +30,8 @@ pub struct WalTuning {
     /// Rotate the open segment once it reaches this many bytes.
     pub segment_bytes: u64,
     /// Fold the log into a spool snapshot once its total live bytes
-    /// reach this threshold (snapshot-capable tenants only).
+    /// reach this threshold (servers with a spool only; every variant
+    /// snapshots, so every tenant's log stays bounded).
     pub compact_bytes: u64,
 }
 

@@ -361,82 +361,62 @@ fn checkpoint_kill_restart_resumes_bit_identically() {
     let emb = embedding_stream(32);
     let proj_config = projecting_config(5, true);
 
-    // Three fixed tenants (snapshot-capable) with distinct configs plus
-    // one oblivious tenant (not snapshot-capable, reported as skipped).
-    let fixed_tenants: Vec<(String, TenantConfig)> = (0..3)
-        .map(|i| {
-            let caps = if i == 0 { vec![2, 1] } else { vec![1, 1] };
-            let window = WINDOW + 10 * i;
-            (
-                format!("ckpt-{i}"),
-                TenantConfig::new(
-                    window,
-                    caps,
-                    WireVariant::Fixed {
-                        dmin: DMIN,
-                        dmax: DMAX,
-                    },
-                ),
-            )
+    // One tenant per variant, each with its own window, so no two
+    // restored tenants could stand in for each other.
+    let tenants: Vec<(String, TenantConfig)> = variants()
+        .into_iter()
+        .enumerate()
+        .map(|(i, (name, mut config))| {
+            config.window = WINDOW + 10 * i;
+            (format!("ckpt-{name}"), config)
         })
         .collect();
 
     {
         let handle = Server::start("127.0.0.1:0", mk_cfg()).expect("server starts");
         let mut client = Client::connect(handle.local_addr()).expect("connect");
-        for (name, config) in &fixed_tenants {
+        for (name, config) in &tenants {
             assert_eq!(client.create(name, config).unwrap(), Reply::Ok);
             assert_eq!(
                 client.insert_batch(name, &points[..half]).unwrap(),
                 Reply::Ok
             );
         }
-        assert_eq!(
-            client
-                .create(
-                    "ephemeral",
-                    &TenantConfig::new(WINDOW, vec![2, 1], WireVariant::Oblivious)
-                )
-                .unwrap(),
-            Reply::Ok
-        );
-        assert_eq!(
-            client.insert_batch("ephemeral", &points[..half]).unwrap(),
-            Reply::Ok
-        );
         assert_eq!(client.create("ckpt-proj", &proj_config).unwrap(), Reply::Ok);
         assert_eq!(
             client.insert_batch("ckpt-proj", &emb[..half]).unwrap(),
             Reply::Ok
         );
-        // Checkpoint-all: 4 snapshots written, the oblivious tenant
-        // skipped (no snapshot support).
+        // Checkpoint-all: every variant snapshots, nothing is skipped.
         match client.checkpoint("").unwrap() {
             Reply::Checkpointed { written, skipped } => {
-                assert_eq!((written, skipped), (4, 1));
+                assert_eq!((written, skipped), (tenants.len() as u32 + 1, 0));
             }
             other => panic!("unexpected checkpoint reply {other:?}"),
         }
-        // Per-tenant checkpoint of an unsupported variant is an error.
-        assert!(matches!(
-            client.checkpoint("ephemeral").unwrap(),
-            Reply::Error(ErrorKind::Unsupported, _)
-        ));
+        // So does a per-tenant checkpoint, whatever the variant.
+        for (name, _) in &tenants {
+            assert_eq!(
+                client.checkpoint(name).unwrap(),
+                Reply::Checkpointed {
+                    written: 1,
+                    skipped: 0
+                },
+                "{name}: checkpoint"
+            );
+        }
         // Kill: no graceful per-tenant teardown, exactly like a crash
         // after the spool write.
         handle.shutdown();
     }
 
     // Restart from the spool; continue the second half and compare
-    // against oracles that saw the whole stream uninterrupted.
+    // against oracles that saw the whole stream uninterrupted. Every
+    // tenant survives, restored from its snapshot alone (no WAL, no
+    // config): the snapshot names the variant.
     let handle = Server::start("127.0.0.1:0", mk_cfg()).expect("server restarts");
     let mut client = Client::connect(handle.local_addr()).expect("connect");
-    // The non-checkpointed tenant did not survive, as a crash demands.
-    assert!(matches!(
-        client.query("ephemeral").unwrap(),
-        Reply::Error(ErrorKind::NoSuchTenant, _)
-    ));
-    for (name, config) in &fixed_tenants {
+    for (name, config) in &tenants {
         let mut oracle = oracle_for(config);
         for p in &points {
             oracle.insert(p.clone());
@@ -457,12 +437,17 @@ fn checkpoint_kill_restart_resumes_bit_identically() {
             &mut client,
             name,
             // points_total restarts from the snapshot's arrival clock.
-            expected_stats(&oracle, 0, points.len() as u64),
+            expected_stats(&oracle, config.variant.code(), points.len() as u64),
         );
         // The restarted server's cache answers the repeat — still
         // byte-identical to the recompute above.
         let again = client.query(name).expect("repeat query reply");
         assert_reply_bytes(&format!("{name} cached repeat after restart"), &again, &got);
+        // The restored engine knows its colors without a config.
+        assert!(matches!(
+            client.insert(name, &cp(1.0, 2)).unwrap(),
+            Reply::Error(ErrorKind::BadRequest, _)
+        ));
     }
     // The projecting tenant resumes from its spool snapshot (restored
     // without its config — the spec rode the spool header) and keeps
@@ -657,36 +642,21 @@ fn wal_args(dir: &Path) -> Vec<String> {
     ]
 }
 
-/// One snapshot-capable tenant (compaction folds its WAL into the
-/// spool), one oblivious tenant (the WAL is its only durability), and
-/// one projecting tenant (its WAL and snapshots hold projected points;
-/// recovery must keep projecting). Every tenant carries its own stream
-/// of identical length, so the ingest loops chunk by index.
-fn wal_tenants() -> Vec<(&'static str, TenantConfig, Vec<Colored<EuclidPoint>>)> {
-    vec![
-        (
-            "wal-fixed",
-            TenantConfig::new(
-                WINDOW,
-                vec![2, 1],
-                WireVariant::Fixed {
-                    dmin: DMIN,
-                    dmax: DMAX,
-                },
-            ),
-            stream(),
-        ),
-        (
-            "wal-obliv",
-            TenantConfig::new(WINDOW, vec![2, 1], WireVariant::Oblivious),
-            stream(),
-        ),
-        (
-            "wal-proj",
+/// One tenant per variant plus one projecting tenant (its WAL and
+/// snapshots hold projected points; recovery must keep projecting).
+/// Every variant snapshots, so compaction folds every log into the
+/// spool. Every tenant carries its own stream of identical length, so
+/// the ingest loops chunk by index.
+fn wal_tenants() -> Vec<(String, TenantConfig, Vec<Colored<EuclidPoint>>)> {
+    variants()
+        .into_iter()
+        .map(|(name, config)| (format!("wal-{name}"), config, stream()))
+        .chain([(
+            "wal-proj".to_string(),
             projecting_config(4, false),
             embedding_stream(24),
-        ),
-    ]
+        )])
+        .collect()
 }
 
 /// Recovered point count for `tenant`, with the replay invariant that
@@ -794,7 +764,7 @@ fn wal_kill_nine_mid_ingest_loses_at_most_one_unsynced_batch() {
             acked[i] += end - start;
         }
     }
-    match client.stats("wal-obliv").unwrap() {
+    match client.stats("wal-oblivious").unwrap() {
         Reply::Stats(s) => {
             assert!(s.wal_bytes > 0, "WAL bytes must be reported");
             assert!(s.wal_segments >= 1, "WAL segments must be reported");
@@ -851,19 +821,20 @@ fn wal_kill_nine_mid_ingest_loses_at_most_one_unsynced_batch() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn leader_kill_follower_promote_resumes_bit_identically() {
+/// The failover contract against a running leader: it takes two thirds
+/// of every tenant's stream alone; a hot standby (durable under `dir`)
+/// comes up and catches up through the bootstrap, then through the live
+/// tail; `stop_leader` takes the leader down; the promoted standby must
+/// hold exactly what was acknowledged and resume bit-identically.
+fn failover_lane(leader_addr: std::net::SocketAddr, dir: &Path, stop_leader: impl FnOnce()) {
     const BATCH: usize = 7;
-    let dir = scratch_dir("failover");
-    let (mut leader, leader_addr) =
-        spawn_served(&dir.join("leader"), &wal_args(&dir.join("leader")));
     let tenants = wal_tenants();
     let len = tenants[0].2.len();
     let two_thirds = 2 * len / 3;
 
     // Phase 1: the leader takes the first two thirds alone — the
-    // standby's bootstrap must carry all of it (snapshot for the fixed
-    // and projecting tenants, full log replay for the oblivious one).
+    // standby's bootstrap must carry all of it, as one snapshot per
+    // tenant.
     let mut client = Client::connect(leader_addr).expect("connect leader");
     for (name, config, _) in &tenants {
         assert_eq!(client.create(name, config).unwrap(), Reply::Ok);
@@ -916,7 +887,7 @@ fn leader_kill_follower_promote_resumes_bit_identically() {
     // A follower refuses writes until promoted.
     assert!(matches!(
         fclient
-            .insert_batch("wal-fixed", &tenants[0].2[..1])
+            .insert_batch(&tenants[0].0, &tenants[0].2[..1])
             .unwrap(),
         Reply::Error(ErrorKind::ReadOnly, _)
     ));
@@ -938,8 +909,7 @@ fn leader_kill_follower_promote_resumes_bit_identically() {
     // Phase 4: kill the leader, promote the standby, verify the durable
     // prefix (the catch-up barrier makes it exactly `sent`) and resume
     // the stream on the new leader.
-    leader.kill().expect("SIGKILL leader");
-    leader.wait().expect("reap leader");
+    stop_leader();
     assert_eq!(fclient.promote().unwrap(), Reply::Ok);
     assert!(!follower.is_follower());
     assert!(matches!(
@@ -950,5 +920,97 @@ fn leader_kill_follower_promote_resumes_bit_identically() {
         verify_recovered_tenant(&mut fclient, name, config, pts, sent, BATCH);
     }
     follower.shutdown();
+}
+
+#[test]
+fn leader_kill_follower_promote_resumes_bit_identically() {
+    let dir = scratch_dir("failover");
+    let (mut leader, leader_addr) =
+        spawn_served(&dir.join("leader"), &wal_args(&dir.join("leader")));
+    failover_lane(leader_addr, &dir, move || {
+        leader.kill().expect("SIGKILL leader");
+        leader.wait().expect("reap leader");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn follower_of_a_leader_without_a_wal_replicates_every_variant() {
+    // The bootstrap ships one snapshot per tenant and the live tail is
+    // fanned out as writes are accepted, so a leader with neither WAL
+    // nor spool still brings a standby up to date.
+    let dir = scratch_dir("failover-no-wal");
+    let leader = Server::start("127.0.0.1:0", serve_config()).expect("leader starts");
+    let leader_addr = leader.local_addr();
+    failover_lane(leader_addr, &dir, move || leader.shutdown());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_variants_wal_stays_bounded_by_compaction() {
+    // The crash drill's resource gate: a long stream through every
+    // variant with tiny thresholds. Compaction runs on the shard tick,
+    // so after a tick each log is back under the threshold — it never
+    // holds more than the threshold plus one segment.
+    let dir = scratch_dir("wal-bound");
+    let cfg = ServeConfig {
+        spool_dir: Some(dir.join("spool")),
+        wal_dir: Some(dir.join("wal")),
+        wal_tuning: WalTuning {
+            segment_bytes: SEGMENT_BYTES,
+            compact_bytes: COMPACT_BYTES,
+        },
+        ..serve_config()
+    };
+    let tenants = variants();
+    // Five streams back to back: every log crosses the threshold often.
+    let points: Vec<_> = (0..5).flat_map(|_| stream()).collect();
+    let handle = Server::start("127.0.0.1:0", cfg.clone()).expect("server starts");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    for (name, config) in &tenants {
+        assert_eq!(client.create(name, config).unwrap(), Reply::Ok);
+    }
+    // A log that shrank between two readings was compacted.
+    let mut last = vec![0u64; tenants.len()];
+    let mut compacted = vec![false; tenants.len()];
+    for chunk in points.chunks(16) {
+        for (name, _) in &tenants {
+            assert_eq!(client.insert_batch(name, chunk).unwrap(), Reply::Ok);
+        }
+        // Let the shard ticks run.
+        std::thread::sleep(Duration::from_millis(15));
+        for (i, (name, _)) in tenants.iter().enumerate() {
+            match client.stats(name).expect("stats reply") {
+                Reply::Stats(s) => {
+                    assert!(
+                        s.wal_bytes <= COMPACT_BYTES + SEGMENT_BYTES,
+                        "{name}: WAL holds {} bytes, threshold {COMPACT_BYTES}",
+                        s.wal_bytes
+                    );
+                    compacted[i] |= s.wal_bytes < last[i];
+                    last[i] = s.wal_bytes;
+                }
+                other => panic!("{name}: unexpected stats reply {other:?}"),
+            }
+        }
+    }
+    assert!(
+        compacted.iter().all(|&c| c),
+        "every log must have compacted"
+    );
+    handle.shutdown();
+    // The bounded logs plus their snapshots still hold everything.
+    let handle = Server::start("127.0.0.1:0", cfg).expect("server restarts");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    for (name, config) in &tenants {
+        let mut oracle = oracle_for(config);
+        oracle.insert_batch(points.iter().cloned());
+        assert_reply_bytes(
+            &format!("{name} after the drill"),
+            &client.query(name).expect("query reply"),
+            &Reply::from_query(&oracle.query()),
+        );
+    }
+    handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -36,6 +36,34 @@ struct Anchored<P> {
     dist_max: WindowedMaxLattice,
 }
 
+/// The checkpointable state of one anchored estimator.
+#[derive(Clone, Debug, PartialEq)]
+pub struct AnchorState<P> {
+    /// The anchor point.
+    pub anchor: P,
+    /// Time the anchor was installed.
+    pub since: u64,
+    /// Entries of the windowed maximum of arrival-to-anchor distances
+    /// (see [`WindowedMaxLattice::entries`]).
+    pub maxima: Vec<(u64, i32)>,
+}
+
+/// The checkpointable state of a [`DiameterEstimator`]: everything but
+/// the metric, lattice and window it was constructed with.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DiameterState<P> {
+    /// The previous-epoch anchor (covers the whole window).
+    pub prev: Option<AnchorState<P>>,
+    /// The current-epoch anchor.
+    pub cur: Option<AnchorState<P>>,
+    /// Entries of the windowed maximum of consecutive-arrival distances.
+    pub consecutive: Vec<(u64, i32)>,
+    /// The latest arrival.
+    pub last_point: Option<P>,
+    /// Time of the latest arrival (0 before the first).
+    pub now: u64,
+}
+
 /// Sliding-window diameter estimator. Feed every arrival via
 /// [`DiameterEstimator::push`]; read [`upper`](DiameterEstimator::upper) /
 /// [`lower`](DiameterEstimator::lower) at any time.
@@ -81,6 +109,61 @@ impl<M: Metric> DiameterEstimator<M> {
             anchor_view: CoresetView::new(),
             anchor_dist: Vec::new(),
         }
+    }
+
+    /// The estimator's checkpointable state (see [`from_state`](Self::from_state)).
+    pub fn state(&self) -> DiameterState<M::Point> {
+        let anchor = |a: &Anchored<M::Point>| AnchorState {
+            anchor: a.anchor.clone(),
+            since: a.since,
+            maxima: a.dist_max.entries().collect(),
+        };
+        DiameterState {
+            prev: self.prev.as_ref().map(anchor),
+            cur: self.cur.as_ref().map(anchor),
+            consecutive: self.consecutive_max.entries().collect(),
+            last_point: self.last_point.clone(),
+            now: self.now,
+        }
+    }
+
+    /// Rebuilds an estimator from [`state`](Self::state) output with the
+    /// construction parameters of [`new`](Self::new). Refuses states no
+    /// sequence of pushes produces (entries or anchors from the future,
+    /// unordered windowed maxima, unbounded estimates), so a restored
+    /// estimator keeps streaming like the original.
+    pub fn from_state(
+        metric: M,
+        lattice: Lattice,
+        window: u64,
+        state: DiameterState<M::Point>,
+    ) -> Result<Self, String> {
+        let now = state.now;
+        let anchored = |a: Option<AnchorState<M::Point>>| -> Result<_, String> {
+            a.map(|a| {
+                if a.since > now {
+                    return Err(format!("anchor installed at {} after t={now}", a.since));
+                }
+                Ok(Anchored {
+                    anchor: a.anchor,
+                    since: a.since,
+                    dist_max: WindowedMaxLattice::from_entries(lattice, window, a.maxima, now)?,
+                })
+            })
+            .transpose()
+        };
+        let mut est = DiameterEstimator::new(metric, lattice, window);
+        est.prev = anchored(state.prev)?;
+        est.cur = anchored(state.cur)?;
+        est.consecutive_max =
+            WindowedMaxLattice::from_entries(lattice, window.max(2) - 1, state.consecutive, now)?;
+        est.last_point = state.last_point;
+        est.now = now;
+        if est.upper().is_some_and(|u| !u.is_finite()) {
+            return Err("diameter estimate overflows".into());
+        }
+        est.restage_anchors();
+        Ok(est)
     }
 
     /// Restages the live anchors (`prev` then `cur`, matching the push
@@ -213,6 +296,29 @@ mod tests {
         let lo = win.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = win.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         hi - lo
+    }
+
+    #[test]
+    fn state_roundtrip_keeps_streaming_identically() {
+        let mut est = DiameterEstimator::new(Euclidean, Lattice::new(1.0), 7);
+        for t in 1..=30u64 {
+            est.push(t, &p((t as f64 * 0.618).fract() * 50.0));
+        }
+        let mut twin =
+            DiameterEstimator::from_state(Euclidean, Lattice::new(1.0), 7, est.state()).unwrap();
+        assert_eq!(twin.state(), est.state());
+        for t in 31..=60u64 {
+            let x = p((t as f64 * 0.324).fract() * 80.0);
+            est.push(t, &x);
+            twin.push(t, &x);
+            assert_eq!(twin.upper(), est.upper());
+            assert_eq!(twin.lower(), est.lower());
+        }
+        assert_eq!(twin.state(), est.state());
+        // States from the future are refused, not restored.
+        let mut bad = est.state();
+        bad.now = 10;
+        assert!(DiameterEstimator::from_state(Euclidean, Lattice::new(1.0), 7, bad).is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod lattice;
 pub mod window;
 pub mod windowed;
 
-pub use diameter::DiameterEstimator;
+pub use diameter::{AnchorState, DiameterEstimator, DiameterState};
 pub use lattice::Lattice;
 pub use window::ExactWindow;
 pub use windowed::{WindowedMaxLattice, WindowedMinLattice};

@@ -22,9 +22,6 @@ pub struct WindowedMaxLattice {
     /// Entries `(arrival_time, level)` with strictly decreasing levels
     /// from front to back... front holds the current maximum.
     deque: VecDeque<(u64, i32)>,
-    /// Number of zero-valued observations currently ignored (zeros carry
-    /// no scale information); kept for diagnostics.
-    zeros_seen: u64,
 }
 
 impl WindowedMaxLattice {
@@ -36,8 +33,30 @@ impl WindowedMaxLattice {
             lattice,
             window,
             deque: VecDeque::new(),
-            zeros_seen: 0,
         }
+    }
+
+    /// Rebuilds a windowed maximum from its [`entries`](Self::entries)
+    /// (the checkpoint path), refusing any sequence [`push`](Self::push)
+    /// could not have produced by time `now`.
+    pub fn from_entries(
+        lattice: Lattice,
+        window: u64,
+        entries: Vec<(u64, i32)>,
+        now: u64,
+    ) -> Result<Self, String> {
+        check_entries(&lattice, &entries, now, |front, back| front > back)?;
+        Ok(WindowedMaxLattice {
+            lattice,
+            window,
+            deque: entries.into(),
+        })
+    }
+
+    /// The tracked `(arrival time, level)` entries, current maximum
+    /// first — all the state besides the construction parameters.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (u64, i32)> + '_ {
+        self.deque.iter().copied()
     }
 
     /// Observes `value` at time `t` (times must be non-decreasing) and
@@ -47,7 +66,6 @@ impl WindowedMaxLattice {
         self.expire(t);
         let positive = value.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
         if !positive || !value.is_finite() {
-            self.zeros_seen += 1;
             return;
         }
         let level = self.lattice.level_below(value);
@@ -114,6 +132,29 @@ impl WindowedMinLattice {
         }
     }
 
+    /// Rebuilds a windowed minimum from its [`entries`](Self::entries)
+    /// (the checkpoint path), refusing any sequence [`push`](Self::push)
+    /// could not have produced by time `now`.
+    pub fn from_entries(
+        lattice: Lattice,
+        window: u64,
+        entries: Vec<(u64, i32)>,
+        now: u64,
+    ) -> Result<Self, String> {
+        check_entries(&lattice, &entries, now, |front, back| front < back)?;
+        Ok(WindowedMinLattice {
+            lattice,
+            window,
+            deque: entries.into(),
+        })
+    }
+
+    /// The tracked `(arrival time, level)` entries, current minimum
+    /// first — all the state besides the construction parameters.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (u64, i32)> + '_ {
+        self.deque.iter().copied()
+    }
+
     /// Observes `value` at time `t`; ignores non-positive values.
     pub fn push(&mut self, t: u64, value: f64) {
         self.expire(t);
@@ -157,6 +198,35 @@ impl WindowedMinLattice {
     pub fn is_empty(&self) -> bool {
         self.deque.is_empty()
     }
+}
+
+/// The deque invariants [`push`](WindowedMaxLattice::push) maintains:
+/// arrival times non-decreasing and at most `now`, levels strictly
+/// monotone (`ordered(front, back)`), and every level's lattice value a
+/// positive finite scale that later level arithmetic can round-trip.
+fn check_entries(
+    lattice: &Lattice,
+    entries: &[(u64, i32)],
+    now: u64,
+    ordered: impl Fn(i32, i32) -> bool,
+) -> Result<(), String> {
+    for pair in entries.windows(2) {
+        let ((t0, l0), (t1, l1)) = (pair[0], pair[1]);
+        if t0 > t1 || !ordered(l0, l1) {
+            return Err(format!(
+                "windowed entries ({t0}, {l0}), ({t1}, {l1}) out of order"
+            ));
+        }
+    }
+    for &(t, level) in entries {
+        let v = lattice.value(level);
+        if t > now || level.unsigned_abs() > i32::MAX as u32 / 2 || !(v.is_finite() && v > 0.0) {
+            return Err(format!(
+                "windowed entry ({t}, {level}) out of range at t={now}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

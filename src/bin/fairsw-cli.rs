@@ -43,12 +43,12 @@
 //!                       the seed, never stored
 //!   --project-sparse    use the sparse Achlioptas ±1/0 matrix instead
 //!                       of the dense Gaussian one
-//!   --snapshot-out PATH write an FSW2 snapshot after the stream ends
-//!                       (fixed variant only — the default when no
-//!                       variant flag is given)
-//!   --snapshot-in PATH  resume from an FSW2 snapshot instead of
+//!   --snapshot-out PATH write an engine snapshot after the stream ends
+//!                       (any variant)
+//!   --snapshot-in PATH  resume from an engine snapshot instead of
 //!                       building a fresh engine (the snapshot carries
-//!                       the window/caps/beta/delta configuration)
+//!                       the variant and the window/caps/beta/delta
+//!                       configuration)
 //!   --quiet             suppress per-center output
 //! ```
 //!
@@ -288,11 +288,12 @@ OPTIONS:
                    seed and is never stored
   --project-sparse sparse Achlioptas ±1/0 matrix instead of dense
                    Gaussian (cheaper to apply, same guarantee)
-  --snapshot-out PATH  write an FSW2 snapshot after the stream ends
-                   (fixed variant only, the default variant); the same
-                   format fairsw-served spools on CHECKPOINT
-  --snapshot-in PATH   resume from an FSW2 snapshot instead of building
-                   a fresh engine (it carries window/caps/beta/delta;
+  --snapshot-out PATH  write an engine snapshot after the stream ends
+                   (any variant); the same format fairsw-served spools
+                   on CHECKPOINT
+  --snapshot-in PATH   resume from an engine snapshot instead of building
+                   a fresh engine (it carries the variant and
+                   window/caps/beta/delta; the variant flags conflict,
                    --window/--caps/--delta/--beta are then ignored.
                    Snapshots do not record the metric: pass the same
                    --metric the snapshot was written with)
@@ -433,8 +434,8 @@ where
             // the config/variant flags are superseded.
             if args.oblivious || args.compact || args.robust.is_some() {
                 return Err(
-                    "--snapshot-in resumes a fixed-variant engine; it conflicts with \
-                     --oblivious/--compact/--robust"
+                    "--snapshot-in resumes the variant its snapshot names; it conflicts \
+                     with --oblivious/--compact/--robust"
                         .into(),
                 );
             }
@@ -449,7 +450,7 @@ where
             let engine = WindowEngine::restore(metric, &bytes)
                 .map_err(|e| format!("restoring {path:?}: {e}"))?
                 .with_parallelism(par);
-            // FSW2 snapshots carry no metric identifier: the guess
+            // Snapshots carry no metric identifier: the guess
             // lattice and coresets inside were computed under whatever
             // metric wrote them, so resuming under a different one
             // silently voids the approximation guarantees.
@@ -558,13 +559,7 @@ where
         }
     }
     if let Some(path) = &args.snapshot_out {
-        let bytes = engine.snapshot().ok_or_else(|| {
-            format!(
-                "--snapshot-out: the {} variant does not support snapshots \
-                 (only the fixed variant does)",
-                engine.variant_name()
-            )
-        })?;
+        let bytes = engine.snapshot().expect("every variant snapshots");
         std::fs::write(path, &bytes).map_err(|e| format!("writing {path:?}: {e}"))?;
         eprintln!(
             "wrote snapshot {path:?} ({} bytes at t={})",
