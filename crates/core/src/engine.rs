@@ -167,6 +167,9 @@ pub struct EngineProjection {
     out_dim: usize,
     seed: u64,
     sparse: bool,
+    /// The input dimension, once known: from the first point, or from a
+    /// snapshot. The matrix itself is built on the next projection.
+    in_dim: Option<usize>,
     projector: Option<Projector>,
 }
 
@@ -176,6 +179,7 @@ impl EngineProjection {
             out_dim,
             seed,
             sparse,
+            in_dim: None,
             projector: None,
         }
     }
@@ -195,30 +199,30 @@ impl EngineProjection {
         self.sparse
     }
 
-    /// Input dimension, once the first point materialized the matrix.
+    /// Input dimension, once the first point (or a restored snapshot)
+    /// fixed it.
     pub fn in_dim(&self) -> Option<usize> {
-        self.projector.as_ref().map(Projector::in_dim)
-    }
-
-    fn materialize(&mut self, in_dim: usize) -> &Projector {
-        if self.projector.is_none() {
-            let kind = if self.sparse {
-                ProjectorKind::Sparse
-            } else {
-                ProjectorKind::Dense
-            };
-            self.projector = Some(Projector::build(in_dim, self.out_dim, self.seed, kind));
-        }
-        self.projector
-            .as_ref()
-            .expect("projector just materialized")
+        self.in_dim
     }
 
     /// Projects one colored point, materializing the matrix from the
     /// first point's dimension. Later points of a different dimension
     /// panic (the projection matrix is fixed once data arrived).
     fn apply<P: Projectable>(&mut self, p: Colored<P>) -> Colored<P> {
-        let projector = self.materialize(p.point.width());
+        let width = p.point.width();
+        let in_dim = *self.in_dim.get_or_insert(width);
+        // Checked before the matrix is built, so a mismatch never
+        // allocates an `in_dim × out_dim` matrix first.
+        assert_eq!(width, in_dim, "projector input dimension mismatch");
+        let (out_dim, seed) = (self.out_dim, self.seed);
+        let kind = if self.sparse {
+            ProjectorKind::Sparse
+        } else {
+            ProjectorKind::Dense
+        };
+        let projector = self
+            .projector
+            .get_or_insert_with(|| Projector::build(in_dim, out_dim, seed, kind));
         Colored::new(p.point.project_with(projector), p.color)
     }
 }
@@ -357,6 +361,7 @@ impl<M: Metric> WindowEngine<M> {
     /// point redetermines the input dimension.
     pub fn reset(&mut self) {
         if let Some(proj) = &mut self.proj {
+            proj.in_dim = None;
             proj.projector = None;
         }
         dispatch!(&mut self.kind, e => e.reset())
@@ -366,14 +371,15 @@ impl<M: Metric> WindowEngine<M> {
 /// Magic tag prefixed to a variant snapshot when the engine carries an
 /// ingest projection: the variant's bytes follow a 21-byte header
 /// (`"FSWP"`, `out_dim: u32`, `seed: u64`, `sparse: u8`, `in_dim: u32`,
-/// little-endian; `in_dim = 0` when the matrix never materialized).
+/// little-endian; `in_dim = 0` while no point has fixed the input
+/// dimension).
 /// Stored window payloads are already projected, so restore reprojects
 /// nothing — it only rebuilds the matrix for *future* inserts.
 const PROJ_SNAPSHOT_MAGIC: &[u8; 4] = b"FSWP";
 
 impl<M: Metric> WindowEngine<M>
 where
-    M::Point: crate::snapshot::PointCodec,
+    M::Point: crate::snapshot::PointCodec + Projectable,
 {
     /// Serializes the engine's complete state as a self-contained
     /// snapshot in its variant's layout (see [`crate::snapshot`]). Every
@@ -429,10 +435,15 @@ where
                     "projection out_dim must be positive".into(),
                 ));
             }
-            let mut proj = EngineProjection::new(out_dim, seed, sparse);
-            if in_dim > 0 {
-                proj.materialize(in_dim);
+            // The same bound as a decoded point's dimension; the matrix
+            // is only built by the next insert.
+            if in_dim > 1 << 24 {
+                return Err(SnapshotError::Invalid(format!(
+                    "absurd projection input dimension {in_dim}"
+                )));
             }
+            let mut proj = EngineProjection::new(out_dim, seed, sparse);
+            proj.in_dim = (in_dim > 0).then_some(in_dim);
             (Some(proj), &bytes[21..])
         } else {
             (None, bytes)
@@ -453,6 +464,24 @@ where
         } else {
             return Err(SnapshotError::BadMagic);
         };
+        // Stored payloads are already projected: a header naming another
+        // `out_dim` would mix dimensions in one window.
+        if let Some(p) = &proj {
+            let store = match &kind {
+                EngineKind::Fixed(e) => &e.set.store,
+                EngineKind::Oblivious(e) => &e.store,
+                EngineKind::Compact(e) => &e.set.store,
+                EngineKind::Robust(e) => &e.set.store,
+                EngineKind::Matroid(e) => &e.set.store,
+            };
+            if let Some((_, _, q)) = store.iter().find(|(_, _, q)| q.width() != p.out_dim) {
+                return Err(SnapshotError::Invalid(format!(
+                    "stored point of dimension {} under a projection to {}",
+                    q.width(),
+                    p.out_dim
+                )));
+            }
+        }
         Ok(WindowEngine { kind, proj })
     }
 }

@@ -418,12 +418,17 @@ impl<M: Metric, Mat: Matroid<u32>> MatroidSlidingWindow<M, Mat> {
             return Err(ConfigError::BadDelta(delta));
         }
         validate_scale(dmin, dmax)?;
+        // A rank-0 constraint admits no center, so no query could ever
+        // succeed — the matroid analogue of an all-zero budget.
+        let k = matroid.rank();
+        if k == 0 {
+            return Err(ConfigError::NoCapacities);
+        }
         let lattice = Lattice::new(beta);
         let guesses = lattice
             .span(dmin, dmax)
             .map(|lvl| MatroidGuess::new(lattice.value(lvl)))
             .collect();
-        let k = matroid.rank();
         Ok(MatroidSlidingWindow {
             metric,
             matroid,

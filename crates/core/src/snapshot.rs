@@ -637,11 +637,19 @@ fn decode_matroid_guess<P>(
     require_keys(g.av.keys(), &g.rep_of, "live v-attractor")?;
     require_keys(g.a.keys(), &g.reps, "live c-attractor")?;
     // The circuit-eviction path reads each tracked representative's
-    // color out of R.
-    if let Some(t) = g.reps.values().flatten().find(|t| !g.r.contains_key(t)) {
-        return Err(invalid(format!(
-            "tracked representative {t} missing from R"
-        )));
+    // color out of R and evicts it from there. So each one sits in R
+    // under its own attractor, once, and no older than that attractor:
+    // expiry drops an attractor's list before any of its members.
+    for (&ta, times) in &g.reps {
+        let mut prev = None;
+        for &t in times {
+            check_increasing(&mut prev, t, "representative")?;
+            if t < ta || g.r.get(&t).is_none_or(|e| e.attractor != ta) {
+                return Err(invalid(format!(
+                    "representative {t} of attractor {ta} disagrees with R"
+                )));
+            }
+        }
     }
     Ok(g)
 }
@@ -696,8 +704,9 @@ fn decode_matroid(input: &mut &[u8]) -> Result<AnyMatroid, SnapshotError> {
         2 => UniformMatroid::new(take_u64(input)? as usize).into(),
         tag => return Err(invalid(format!("unknown matroid tag {tag}"))),
     };
-    if m.rank() as u128 > MAX_BUDGET {
-        return Err(invalid(format!("absurd matroid rank {}", m.rank())));
+    // The constructor refuses rank 0 (no center could ever be chosen).
+    if m.rank() == 0 || m.rank() as u128 > MAX_BUDGET {
+        return Err(invalid(format!("matroid rank {}", m.rank())));
     }
     Ok(m)
 }
@@ -1325,6 +1334,49 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Flips `xor` into byte `pos` of `s`. The decode must return —
+        /// corrupt magic, lengths, times, gammas, colors, levels, ranks
+        /// all surface as Err; a flipped coordinate bit may legitimately
+        /// decode. When it does decode, the restored window must be fully
+        /// operational (queryable, then streaming and queryable again),
+        /// not a structure with dangling handles. A flipped input
+        /// dimension in a projection header is another valid projection:
+        /// that engine takes points of the width it names, which can be
+        /// huge, so it is only queried.
+        fn corrupt_decodes_to_a_working_window(
+            s: &Sample,
+            pos: usize,
+            xor: u8,
+        ) -> Result<(), TestCaseError> {
+            let mut bytes = s.bytes.clone();
+            bytes[pos] ^= xor;
+            if let Ok(mut e) = WindowEngine::<Euclidean>::restore(Euclidean, &bytes) {
+                prop_assert!(
+                    e.query().is_ok(),
+                    "{}: byte {pos} ^ {xor} decoded but not queryable",
+                    s.name
+                );
+                if e.projection().is_none_or(|p| p.in_dim() == Some(s.dim)) {
+                    e.insert_batch((1000..1008).map(|i| cp(i, s.dim)));
+                    prop_assert!(e.query().is_ok(), "{}: byte {pos} ^ {xor}", s.name);
+                }
+            }
+            Ok(())
+        }
+
+        /// Headers are a few dozen bytes of a snapshot thousands long, so
+        /// random positions rarely land there: walk them all.
+        #[test]
+        fn every_header_byte_corruption_is_refused_or_harmless() {
+            for s in samples() {
+                for pos in 0..s.arena_count_at + 8 {
+                    for xor in [0x01, 0x02, 0x80, 0xff] {
+                        corrupt_decodes_to_a_working_window(s, pos, xor).unwrap();
+                    }
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -1349,20 +1401,8 @@ mod tests {
                 xor in 1u8..255,
             ) {
                 for s in samples() {
-                    let mut bytes = s.bytes.clone();
-                    let pos = ((bytes.len() as f64) * frac) as usize % bytes.len();
-                    bytes[pos] ^= xor;
-                    // The decode must return — corrupt magic, lengths,
-                    // times, gammas, colors, levels all surface as Err; a
-                    // flipped coordinate bit may legitimately decode. When
-                    // it does decode, the restored window must be fully
-                    // operational (queryable and streaming), not a
-                    // structure with dangling handles.
-                    if let Ok(mut e) = WindowEngine::<Euclidean>::restore(Euclidean, &bytes) {
-                        let _ = e.query();
-                        e.insert_batch((1000..1008).map(|i| cp(i, s.dim)));
-                        prop_assert!(e.query().is_ok(), "{}", s.name);
-                    }
+                    let pos = ((s.bytes.len() as f64) * frac) as usize % s.bytes.len();
+                    corrupt_decodes_to_a_working_window(s, pos, xor)?;
                 }
             }
 
@@ -1389,8 +1429,9 @@ mod tests {
     #[test]
     fn inconsistent_tables_are_refused() {
         // An oblivious level whose γ is not its lattice value, a compact
-        // attractor without its representative table, and a matroid
-        // representative list naming a time outside R all decode
+        // attractor without its representative table, and matroid
+        // representative lists that disagree with R (a time outside R,
+        // one filed under another attractor, a duplicate) all decode
         // field-by-field but must not restore.
         let mut obl = ObliviousFairSlidingWindow::new(
             FairSWConfig::builder()
@@ -1441,17 +1482,43 @@ mod tests {
         for i in 0..60 {
             matroid.insert(cp(i, 2));
         }
-        let g = matroid
-            .set
-            .guesses
-            .iter_mut()
-            .find(|g| !g.reps.is_empty())
-            .unwrap();
-        g.reps.values_mut().next().unwrap().push(u64::MAX);
-        assert!(matches!(
-            MatroidSlidingWindow::<Euclidean, AnyMatroid>::restore(Euclidean, &matroid.snapshot()),
-            Err(SnapshotError::Invalid(_))
-        ));
+        type Mw = MatroidSlidingWindow<Euclidean, AnyMatroid>;
+        type Reps = HashMap<u64, Vec<u64>>;
+        let corrupt = |edit: fn(&mut Reps)| {
+            let mut bad = matroid.clone();
+            let g = bad.set.guesses.iter_mut().find(|g| g.reps.len() >= 2);
+            edit(&mut g.expect("two attractors with representatives").reps);
+            Mw::restore(Euclidean, &bad.snapshot())
+        };
+        fn oldest(reps: &mut Reps) -> &mut Vec<u64> {
+            let a = *reps.keys().min().unwrap();
+            reps.get_mut(&a).unwrap()
+        }
+        let outside_r: fn(&mut Reps) = |reps| oldest(reps).push(u64::MAX);
+        let misfiled: fn(&mut Reps) = |reps| {
+            let b = *reps.keys().max().unwrap();
+            let moved = reps.get_mut(&b).unwrap().pop().unwrap();
+            oldest(reps).push(moved);
+        };
+        let duplicate: fn(&mut Reps) = |reps| {
+            let list = oldest(reps);
+            list.push(*list.last().unwrap());
+        };
+        assert!(Mw::restore(Euclidean, &matroid.snapshot()).is_ok());
+        for edit in [outside_r, misfiled, duplicate] {
+            assert!(matches!(corrupt(edit), Err(SnapshotError::Invalid(_))));
+        }
+        // A rank-0 constraint could never answer: refused up front.
+        assert!(Mw::new(
+            Euclidean,
+            UniformMatroid::new(0).into(),
+            30,
+            2.0,
+            1.0,
+            0.01,
+            1e4
+        )
+        .is_err());
     }
 
     #[test]

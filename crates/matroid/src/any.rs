@@ -31,10 +31,7 @@ impl AnyMatroid {
     pub fn num_colors(&self) -> usize {
         match self {
             AnyMatroid::Partition(m) => m.num_colors(),
-            AnyMatroid::Laminar(m) => {
-                let max = m.groups().iter().flat_map(|g| g.colors.iter()).max();
-                max.map_or(0, |&c| c as usize + 1)
-            }
+            AnyMatroid::Laminar(m) => m.num_colors(),
             AnyMatroid::Uniform(_) => usize::MAX,
         }
     }

@@ -84,6 +84,7 @@ impl std::error::Error for LaminarError {}
 pub struct LaminarMatroid {
     groups: Vec<Group>,
     rank: usize,
+    num_colors: usize,
 }
 
 impl LaminarMatroid {
@@ -136,12 +137,22 @@ impl LaminarMatroid {
             }
             rank = rank.saturating_add(take);
         }
-        Ok(LaminarMatroid { groups, rank })
+        Ok(LaminarMatroid {
+            groups,
+            rank,
+            num_colors: max_color as usize + 1,
+        })
     }
 
     /// The constituent groups.
     pub fn groups(&self) -> &[Group] {
         &self.groups
+    }
+
+    /// The number of colors the groups name: `0..num_colors()`, each in
+    /// some group.
+    pub fn num_colors(&self) -> usize {
+        self.num_colors
     }
 
     /// Independence of a color multiset.
@@ -209,6 +220,7 @@ mod tests {
     #[test]
     fn nested_caps_enforced() {
         let m = nested();
+        assert_eq!(m.num_colors(), 3);
         assert!(m.is_independent(&[0, 1, 2, 2]));
         // Two minorities of color 1 hit the minority cap with color 0.
         assert!(m.is_independent(&[1, 1, 2, 2]));

@@ -525,9 +525,7 @@ impl TenantConfig {
             .window_size(self.window)
             .capacities(self.caps.clone())
             .beta(self.beta)
-            .delta(self.delta)
-            .exactness(self.exactness)
-            .compact_mirror(self.compact_mirror);
+            .delta(self.delta);
         let spec = match self.variant {
             WireVariant::Fixed { dmin, dmax } => VariantSpec::Fixed { dmin, dmax },
             WireVariant::Oblivious => VariantSpec::Oblivious,
@@ -541,7 +539,14 @@ impl TenantConfig {
                 dmax,
             },
         };
-        builder.variant(spec).build_relaxed(Euclidean)
+        builder.variant(spec).build(self.metric())
+    }
+
+    /// The tenant's metric: Euclidean under the configured kernel
+    /// exactness and staging. Snapshots do not record it, so a restore
+    /// that knows the config must pass this, not an exact default.
+    pub fn metric(&self) -> Relaxed<Euclidean> {
+        Relaxed::new(Euclidean, self.exactness).with_compact_staging(self.compact_mirror)
     }
 
     pub(crate) fn encode(&self, out: &mut Vec<u8>) -> Result<(), ProtocolError> {

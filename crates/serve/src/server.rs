@@ -56,6 +56,7 @@ use crate::protocol::{
     valid_tenant_name, write_frame, ErrorKind, Reply, Request, TenantConfig, WireProjection,
     WireStats,
 };
+use crate::wal::replay::{restore_snapshot, spool_encode};
 use crate::wal::replicate::{follower_loop, subscription, Subscriber};
 use crate::wal::segment::{encode_batch_body, encode_create_body};
 use crate::wal::{atomic_write, build_tenant, read_log, TenantWal, WalRecord, WalTuning};
@@ -73,6 +74,9 @@ use std::time::{Duration, Instant};
 
 /// Extension of spool files (one engine snapshot per tenant).
 const SPOOL_EXT: &str = "fsw2";
+/// Extension of the spool's per-tenant config file: the `Create` record
+/// a server without a WAL keeps beside the snapshot.
+const CONFIG_EXT: &str = "create";
 /// Recent query latencies retained per tenant for the percentiles.
 const LATENCY_WINDOW: usize = 512;
 /// Reset engines parked per shard for delete-and-recreate reuse.
@@ -347,8 +351,8 @@ impl TenantProjection {
 /// One tenant: its engine plus ingest buffer and service counters.
 struct Tenant {
     engine: WindowEngine<Relaxed<Euclidean>>,
-    /// The creating config (None for spool-restored tenants) — the key
-    /// for delete-and-recreate engine reuse.
+    /// The creating config (None for a tenant restored without its
+    /// `Create` record) — the key for delete-and-recreate engine reuse.
     config: Option<TenantConfig>,
     variant_code: u8,
     buffer: Vec<Colored<EuclidPoint>>,
@@ -794,6 +798,15 @@ impl Shard {
                 format!("tenant {tenant:?} already exists"),
             );
         }
+        let body = match encode_create_body(&config) {
+            Ok(b) => b,
+            Err(e) => {
+                return Reply::Error(
+                    ErrorKind::BadRequest,
+                    format!("config too large for the log: {e}"),
+                )
+            }
+        };
         let engine = match self.parked.iter().position(|(c, _)| *c == config) {
             Some(i) => self.parked.swap_remove(i).1,
             None => match config.build_engine() {
@@ -806,34 +819,32 @@ impl Shard {
         // if the server crashes before its first CHECKPOINT.
         self.spool_remove(tenant);
         // Start the tenant's log with its Create record — a fresh WAL
-        // wipes any stale directory for the same reason.
+        // wipes any stale directory for the same reason. Without a WAL
+        // the spool keeps the record beside the snapshot, so a restart
+        // restores the tenant under its own config.
         let wal = match self.cfg.tenant_wal_dir(tenant) {
-            Some(dir) => match TenantWal::create(&dir, self.cfg.wal_tuning) {
-                Ok(mut wal) => {
-                    let body = match encode_create_body(&config) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            return Reply::Error(
-                                ErrorKind::BadRequest,
-                                format!("config too large for the log: {e}"),
-                            )
-                        }
-                    };
-                    if let Err(e) = wal.append(&body).and_then(|()| wal.sync()) {
-                        return Reply::Error(
-                            ErrorKind::Unsupported,
-                            format!("wal create failed: {e}"),
-                        );
-                    }
-                    push_record(&mut self.subs, tenant, &body);
-                    Some(wal)
-                }
+            Some(dir) => match TenantWal::create(&dir, self.cfg.wal_tuning)
+                .and_then(|mut wal| wal.append(&body).and_then(|()| wal.sync()).map(|()| wal))
+            {
+                Ok(wal) => Some(wal),
                 Err(e) => {
                     return Reply::Error(ErrorKind::Unsupported, format!("wal create failed: {e}"))
                 }
             },
-            None => None,
+            None => {
+                let written = self.cfg.spool_dir.as_ref().map_or(Ok(()), |dir| {
+                    atomic_write(dir, &format!("{tenant}.{CONFIG_EXT}"), &body)
+                });
+                if let Err(e) = written {
+                    return Reply::Error(
+                        ErrorKind::Unsupported,
+                        format!("spool write failed: {e}"),
+                    );
+                }
+                None
+            }
         };
+        push_record(&mut self.subs, tenant, &body);
         self.tenants.insert(
             tenant.to_string(),
             Tenant::new(engine, Some(config)).with_wal(wal),
@@ -846,9 +857,10 @@ impl Shard {
 
     /// Bootstraps `sub` with every tenant's current state — its
     /// `Create` record (when the config is known) and one fresh
-    /// `Snapshot` record — then adds it to the live fan-out list. The
-    /// bootstrap costs O(engine state), whatever the tenant's history,
-    /// and needs no WAL.
+    /// `Snapshot` record in spool format, so a projection reaches the
+    /// follower even without a config — then adds it to the live
+    /// fan-out list. The bootstrap costs O(engine state), whatever the
+    /// tenant's history, and needs no WAL.
     fn subscribe(&mut self, sub: Subscriber) -> Reply {
         for (name, t) in self.tenants.iter_mut() {
             t.flush();
@@ -856,7 +868,7 @@ impl Shard {
             let records = t.config.clone().map(WalRecord::Create);
             for record in records
                 .into_iter()
-                .chain([WalRecord::Snapshot(t.snapshot())])
+                .chain([WalRecord::Snapshot(t.spool_bytes())])
             {
                 let mut body = Vec::new();
                 if let Err(e) = record.encode(&mut body) {
@@ -924,17 +936,18 @@ impl Shard {
                 Ok(())
             }
             WalRecord::Snapshot(bytes) => {
-                let engine = WindowEngine::restore(Relaxed::exact(Euclidean), &bytes)
-                    .map_err(|e| format!("bootstrap snapshot: {e}"))?
-                    .with_parallelism(self.cfg.parallelism);
+                // The Create record before it (when the leader knows the
+                // config) names the metric the snapshot restores under.
                 let config = self.tenants.get(tenant).and_then(|t| t.config.clone());
-                let mut fresh = Tenant::new(engine, config);
+                let (engine, proj) =
+                    restore_snapshot(&bytes, config.as_ref(), self.cfg.parallelism)
+                        .map_err(|e| format!("bootstrap snapshot: {e}"))?;
+                let mut fresh = Tenant::new(engine, config).with_projection(proj);
                 fresh.points_total = fresh.engine.time();
-                // Persist our own recovery point: snapshot to the
-                // spool, WAL restarted just past it.
+                // Persist our own recovery point: the snapshot (already
+                // in spool format) to the spool, WAL restarted past it.
                 if let Some(dir) = &self.cfg.spool_dir {
-                    let spool = spool_encode(fresh.proj.as_ref().map(|p| p.spec), &bytes);
-                    if let Err(e) = spool_write(dir, tenant, &spool) {
+                    if let Err(e) = spool_write(dir, tenant, &bytes) {
                         return Err(format!("bootstrap spool write: {e}"));
                     }
                 }
@@ -974,11 +987,13 @@ impl Shard {
         }
     }
 
-    /// Best-effort removal of a tenant's spool snapshot (the shard owns
+    /// Best-effort removal of a tenant's spool files (the shard owns
     /// its tenants' spool files; nothing else writes them).
     fn spool_remove(&self, tenant: &str) {
         if let Some(dir) = &self.cfg.spool_dir {
-            let _ = std::fs::remove_file(dir.join(format!("{tenant}.{SPOOL_EXT}")));
+            for ext in [SPOOL_EXT, CONFIG_EXT] {
+                let _ = std::fs::remove_file(dir.join(format!("{tenant}.{ext}")));
+            }
         }
     }
 
@@ -1089,185 +1104,67 @@ fn spool_write(dir: &std::path::Path, tenant: &str, bytes: &[u8]) -> io::Result<
     atomic_write(dir, &format!("{tenant}.{SPOOL_EXT}"), bytes)
 }
 
-/// Magic prefixing the spool snapshot of a *projecting* tenant. The
-/// engine holds already-projected points, so its snapshot carries no
-/// trace of the projection — without the header a spool-only restart
-/// (`--spool` without `--wal`) would come back accepting raw
-/// high-dimensional points unprojected. Non-projecting tenants keep the
-/// bare snapshot.
-const SPOOL_PROJ_MAGIC: &[u8; 4] = b"FSWQ";
-
-/// Wraps an engine snapshot in the spool format: a 21-byte projection
-/// header (magic, sparse tag, `out_dim`, seed) when the tenant
-/// projects, the bare snapshot otherwise.
-fn spool_encode(proj: Option<WireProjection>, snapshot: &[u8]) -> Vec<u8> {
-    let Some(spec) = proj else {
-        return snapshot.to_vec();
-    };
-    let mut out = Vec::with_capacity(21 + snapshot.len());
-    out.extend_from_slice(SPOOL_PROJ_MAGIC);
-    out.push(if spec.sparse { 2 } else { 1 });
-    out.extend_from_slice(&(spec.out_dim as u64).to_le_bytes());
-    out.extend_from_slice(&spec.seed.to_le_bytes());
-    out.extend_from_slice(snapshot);
-    out
-}
-
-/// Splits a spool file into its optional projection spec and the engine
-/// snapshot. Headerless files (non-projecting tenants, or spools written
-/// before projections existed) pass through untouched.
-fn spool_decode(bytes: &[u8]) -> Result<(Option<WireProjection>, &[u8]), String> {
-    if !bytes.starts_with(SPOOL_PROJ_MAGIC) {
-        return Ok((None, bytes));
-    }
-    if bytes.len() < 21 {
-        return Err("truncated projection header".into());
-    }
-    let sparse = match bytes[4] {
-        1 => false,
-        2 => true,
-        other => return Err(format!("unknown projection tag {other}")),
-    };
-    let out_dim = u64::from_le_bytes(bytes[5..13].try_into().unwrap()) as usize;
-    if out_dim == 0 {
-        return Err("projection dimension 0".into());
-    }
-    let seed = u64::from_le_bytes(bytes[13..21].try_into().unwrap());
-    Ok((
-        Some(WireProjection {
-            out_dim,
-            seed,
-            sparse,
-        }),
-        &bytes[21..],
-    ))
-}
-
-/// Restores every spooled tenant (`<name>.fsw2`), skipping unreadable
-/// or corrupt files with a note on stderr — a damaged snapshot must not
-/// keep the service down.
-fn spool_replay(cfg: &ServeConfig) -> Vec<(String, Tenant)> {
-    let Some(dir) = &cfg.spool_dir else {
-        return Vec::new();
-    };
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some(SPOOL_EXT) {
-            continue;
-        }
-        let Some(name) = path.file_stem().and_then(|s| s.to_str()).map(String::from) else {
-            continue;
-        };
-        if !valid_tenant_name(&name) {
-            continue;
-        }
-        let restored = std::fs::read(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| {
-                let (proj, payload) = spool_decode(&bytes)?;
-                WindowEngine::restore(Relaxed::exact(Euclidean), payload)
-                    .map(|e| (proj, e))
-                    .map_err(|e| e.to_string())
-            });
-        match restored {
-            Ok((proj, engine)) => {
-                let engine = engine.with_parallelism(cfg.parallelism);
-                let mut tenant = Tenant::new(engine, None).with_projection(proj);
-                tenant.points_total = tenant.engine.time();
-                out.push((name, tenant));
-            }
-            Err(e) => eprintln!("fairsw-served: skipping spool file {path:?}: {e}"),
-        }
-    }
-    out
-}
-
-/// Recovers every tenant from durable state. Without a WAL this is the
-/// spool replay; with one, each tenant is rebuilt from its spool
-/// snapshot plus the valid WAL suffix, and its log is reopened at the
-/// replayed cut (truncating any torn tail for good). Damaged tenants
-/// are skipped with a note — recovery of one tenant must not keep the
-/// service down.
+/// Recovers every tenant from durable state — each tenant with a spool
+/// snapshot or a WAL directory. Damaged tenants are skipped with a note:
+/// recovery of one tenant must not keep the service down.
 fn replay_all(cfg: &ServeConfig) -> Vec<(String, Tenant)> {
-    let Some(wal_root) = &cfg.wal_dir else {
-        return spool_replay(cfg);
+    let listing = |dir: &Option<PathBuf>| -> Vec<PathBuf> {
+        let entries = dir.iter().filter_map(|d| std::fs::read_dir(d).ok());
+        entries
+            .flat_map(|e| e.flatten().map(|e| e.path()))
+            .collect()
     };
-    let mut names = std::collections::BTreeSet::new();
-    if let Some(dir) = &cfg.spool_dir {
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let path = entry.path();
-                if path.extension().and_then(|e| e.to_str()) == Some(SPOOL_EXT) {
-                    if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                        names.insert(stem.to_string());
-                    }
-                }
-            }
-        }
-    }
-    if let Ok(entries) = std::fs::read_dir(wal_root) {
-        for entry in entries.flatten() {
-            if entry.path().is_dir() {
-                if let Some(name) = entry.file_name().to_str() {
-                    names.insert(name.to_string());
-                }
-            }
-        }
-    }
+    let text = |s: Option<&std::ffi::OsStr>| s?.to_str().map(String::from);
+    let spooled = listing(&cfg.spool_dir).into_iter().filter_map(|p| {
+        (p.extension().and_then(|e| e.to_str()) == Some(SPOOL_EXT)).then(|| text(p.file_stem()))?
+    });
+    let logged = listing(&cfg.wal_dir)
+        .into_iter()
+        .filter_map(|p| p.is_dir().then(|| text(p.file_name()))?);
+    let names: std::collections::BTreeSet<String> = spooled.chain(logged).collect();
     let mut out = Vec::new();
-    for name in names {
-        if !valid_tenant_name(&name) {
-            continue;
-        }
-        let raw_snapshot = cfg
-            .spool_dir
-            .as_ref()
-            .and_then(|d| std::fs::read(d.join(format!("{name}.{SPOOL_EXT}"))).ok());
-        // Peel the spool's projection header: the snapshot goes to
-        // the replay; the spec backstops a log without a Create record.
-        let (spool_proj, snapshot) = match raw_snapshot.as_deref().map(spool_decode).transpose() {
-            Ok(v) => match v {
-                Some((proj, payload)) => (proj, Some(payload)),
-                None => (None, None),
-            },
-            Err(e) => {
-                eprintln!("fairsw-served: skipping tenant {name:?}: spool: {e}");
-                continue;
-            }
-        };
-        let tenant_dir = wal_root.join(&name);
-        let (records, cut) = match read_log(&tenant_dir) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("fairsw-served: skipping tenant {name:?}: wal read failed: {e}");
-                continue;
-            }
-        };
-        let replayed = match build_tenant(snapshot, &records, cfg.parallelism) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fairsw-served: skipping tenant {name:?}: {e}");
-                continue;
-            }
-        };
-        match TenantWal::reopen(&tenant_dir, cfg.wal_tuning, cut) {
-            Ok(wal) => {
-                let has_config = replayed.config.is_some();
-                let mut tenant = Tenant::new(replayed.engine, replayed.config).with_wal(Some(wal));
-                if !has_config {
-                    tenant = tenant.with_projection(spool_proj);
-                }
-                tenant.points_total = tenant.engine.time();
-                out.push((name, tenant));
-            }
-            Err(e) => eprintln!("fairsw-served: skipping tenant {name:?}: wal reopen: {e}"),
+    for name in names.into_iter().filter(|n| valid_tenant_name(n)) {
+        match replay_tenant(cfg, &name) {
+            Ok(tenant) => out.push((name, tenant)),
+            Err(e) => eprintln!("fairsw-served: skipping tenant {name:?}: {e}"),
         }
     }
     out
+}
+
+/// Rebuilds one tenant from its spool snapshot plus its log. With a WAL
+/// the log is the valid WAL suffix, and the WAL is reopened at the
+/// replayed cut (truncating any torn tail for good); without one the
+/// snapshot is the whole state and the `Create` record kept beside it
+/// names the config.
+fn replay_tenant(cfg: &ServeConfig, name: &str) -> Result<Tenant, String> {
+    let spooled = |ext: &str| {
+        let dir = cfg.spool_dir.as_ref()?;
+        std::fs::read(dir.join(format!("{name}.{ext}"))).ok()
+    };
+    let snapshot = spooled(SPOOL_EXT);
+    let (records, reopen) = match cfg.tenant_wal_dir(name) {
+        Some(dir) => {
+            let (records, cut) = read_log(&dir).map_err(|e| format!("wal read failed: {e}"))?;
+            (records, Some((dir, cut)))
+        }
+        None => {
+            snapshot.as_ref().ok_or("spool snapshot unreadable")?;
+            let create = spooled(CONFIG_EXT).map(|b| WalRecord::decode(&mut b.as_slice()));
+            let create = create.transpose().map_err(|e| format!("config: {e}"))?;
+            (create.into_iter().collect(), None)
+        }
+    };
+    let replayed = build_tenant(snapshot.as_deref(), &records, cfg.parallelism)?;
+    let wal = reopen
+        .map(|(dir, cut)| TenantWal::reopen(&dir, cfg.wal_tuning, cut))
+        .transpose()
+        .map_err(|e| format!("wal reopen: {e}"))?;
+    let mut tenant = Tenant::new(replayed.engine, replayed.config)
+        .with_projection(replayed.projection)
+        .with_wal(wal);
+    tenant.points_total = tenant.engine.time();
+    Ok(tenant)
 }
 
 /// A running server. Dropping the handle does **not** stop the server;

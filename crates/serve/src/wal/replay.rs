@@ -14,14 +14,86 @@
 //! records the snapshot already covers are skipped point-precisely —
 //! the same logic lets a follower apply a live stream on top of a
 //! bootstrap snapshot.
+//!
+//! Snapshots restore under the metric of the tenant's `Create` record
+//! (kernel exactness and staging are not part of a snapshot), and may
+//! carry the spool's projection header.
 
 use super::segment::{list_segments, read_segment, WalRecord};
 use super::writer::LogCut;
-use crate::protocol::TenantConfig;
+use crate::protocol::{TenantConfig, WireProjection};
 use fairsw_core::{ParallelismSpec, SlidingWindowClustering, WindowEngine};
 use fairsw_metric::{Euclidean, Relaxed};
 use std::io;
 use std::path::Path;
+
+/// Magic prefixing the spool snapshot of a *projecting* tenant. The
+/// engine holds already-projected points, so its snapshot carries no
+/// trace of the projection — without the header a tenant restored
+/// without its config would come back accepting raw high-dimensional
+/// points unprojected. Non-projecting tenants keep the bare snapshot.
+const SPOOL_PROJ_MAGIC: &[u8; 4] = b"FSWQ";
+
+/// Wraps an engine snapshot in the spool format: a 21-byte projection
+/// header (magic, sparse tag, `out_dim`, seed) when the tenant
+/// projects, the bare snapshot otherwise. Spool files and bootstrap
+/// `Snapshot` records both use it.
+pub(crate) fn spool_encode(proj: Option<WireProjection>, snapshot: &[u8]) -> Vec<u8> {
+    let Some(spec) = proj else {
+        return snapshot.to_vec();
+    };
+    let mut out = Vec::with_capacity(21 + snapshot.len());
+    out.extend_from_slice(SPOOL_PROJ_MAGIC);
+    out.push(if spec.sparse { 2 } else { 1 });
+    out.extend_from_slice(&(spec.out_dim as u64).to_le_bytes());
+    out.extend_from_slice(&spec.seed.to_le_bytes());
+    out.extend_from_slice(snapshot);
+    out
+}
+
+/// Splits spool-format bytes into their optional projection spec and
+/// the engine snapshot. Headerless bytes (non-projecting tenants, or
+/// spools written before projections existed) pass through untouched.
+fn spool_decode(bytes: &[u8]) -> Result<(Option<WireProjection>, &[u8]), String> {
+    if !bytes.starts_with(SPOOL_PROJ_MAGIC) {
+        return Ok((None, bytes));
+    }
+    if bytes.len() < 21 {
+        return Err("truncated projection header".into());
+    }
+    let sparse = match bytes[4] {
+        1 => false,
+        2 => true,
+        other => return Err(format!("unknown projection tag {other}")),
+    };
+    let out_dim = u64::from_le_bytes(bytes[5..13].try_into().unwrap()) as usize;
+    if out_dim == 0 {
+        return Err("projection dimension 0".into());
+    }
+    let seed = u64::from_le_bytes(bytes[13..21].try_into().unwrap());
+    Ok((
+        Some(WireProjection {
+            out_dim,
+            seed,
+            sparse,
+        }),
+        &bytes[21..],
+    ))
+}
+
+/// Restores an engine from spool-format bytes under `config`'s metric
+/// (exact kernels when the config is unknown), returning the projection
+/// the header names, if any.
+pub(crate) fn restore_snapshot(
+    bytes: &[u8],
+    config: Option<&TenantConfig>,
+    parallelism: ParallelismSpec,
+) -> Result<(WindowEngine<Relaxed<Euclidean>>, Option<WireProjection>), String> {
+    let (proj, payload) = spool_decode(bytes)?;
+    let metric = config.map_or_else(|| Relaxed::exact(Euclidean), TenantConfig::metric);
+    let engine = WindowEngine::restore(metric, payload).map_err(|e| e.to_string())?;
+    Ok((engine.with_parallelism(parallelism), proj))
+}
 
 /// Reads a tenant's whole log: every record up to the first damaged
 /// frame, plus the cut where the valid bytes end. An absent or empty
@@ -51,9 +123,11 @@ pub fn read_log(dir: &Path) -> io::Result<(Vec<WalRecord>, LogCut)> {
 pub struct ReplayedTenant {
     /// The engine, caught up to the end of the valid log.
     pub engine: WindowEngine<Relaxed<Euclidean>>,
-    /// The creating configuration, when a `Create` record survives
-    /// (compaction keeps snapshots instead, so it may be gone).
+    /// The creating configuration, when a `Create` record survives.
     pub config: Option<TenantConfig>,
+    /// The ingest projection: the config's, or — without a config — the
+    /// one a snapshot's spool header names.
+    pub projection: Option<WireProjection>,
 }
 
 /// Replays `records` on top of `snapshot` (if any) into a live engine.
@@ -61,6 +135,9 @@ pub struct ReplayedTenant {
 /// The snapshot, when present, is authoritative for everything up to
 /// its stream time; batch records are applied only from that point on,
 /// using each record's `start` position to skip the covered prefix.
+/// It may be bare or carry the spool's projection header, and it
+/// restores under the metric of the log's first `Create` record:
+/// compaction reseeds the log with it, so it is the snapshot's config.
 /// Returns an error (never panics) when the log is unusable — no
 /// snapshot and no `Create` record, a batch before either, or a
 /// snapshot that does not decode.
@@ -69,13 +146,19 @@ pub fn build_tenant(
     records: &[WalRecord],
     parallelism: ParallelismSpec,
 ) -> Result<ReplayedTenant, String> {
-    let restore = |bytes: &[u8]| -> Result<WindowEngine<Relaxed<Euclidean>>, String> {
-        WindowEngine::restore(Relaxed::exact(Euclidean), bytes)
-            .map(|e| e.with_parallelism(parallelism))
-            .map_err(|e| e.to_string())
-    };
-    let mut engine = snapshot.map(restore).transpose()?;
-    let mut config = None;
+    let mut config = records
+        .iter()
+        .take_while(|r| !matches!(r, WalRecord::Delete))
+        .find_map(|r| match r {
+            WalRecord::Create(c) => Some(c.clone()),
+            _ => None,
+        });
+    let mut engine = None;
+    let mut projection = None;
+    if let Some(bytes) = snapshot {
+        let (e, p) = restore_snapshot(bytes, config.as_ref(), parallelism)?;
+        (engine, projection) = (Some(e), p);
+    }
     for rec in records {
         match rec {
             WalRecord::Create(c) => {
@@ -97,15 +180,22 @@ pub fn build_tenant(
                     eng.insert_batch(points[skip..].iter().cloned());
                 }
             }
-            WalRecord::Snapshot(bytes) => engine = Some(restore(bytes)?),
+            WalRecord::Snapshot(bytes) => {
+                let (e, p) = restore_snapshot(bytes, config.as_ref(), parallelism)?;
+                (engine, projection) = (Some(e), p);
+            }
             WalRecord::Delete => {
-                engine = None;
-                config = None;
+                (engine, config, projection) = (None, None, None);
             }
         }
     }
     let engine = engine.ok_or("log holds no Create record or snapshot")?;
-    Ok(ReplayedTenant { engine, config })
+    let projection = config.as_ref().map_or(projection, |c| c.projection);
+    Ok(ReplayedTenant {
+        engine,
+        config,
+        projection,
+    })
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! spool, resume bit-identically.
 
 use fairsw_core::{ParallelismSpec, SlidingWindowClustering, WindowEngine};
-use fairsw_metric::{Colored, EuclidPoint, Euclidean, Relaxed};
+use fairsw_metric::{Colored, EuclidPoint, Euclidean, Exactness, Relaxed};
 use fairsw_serve::loadgen::Client;
 use fairsw_serve::protocol::{ErrorKind, Reply, TenantConfig, WireStats, WireVariant};
 use fairsw_serve::server::{ServeConfig, Server};
@@ -107,6 +107,56 @@ fn projecting_config(out_dim: usize, sparse: bool) -> TenantConfig {
         },
     )
     .with_projection(out_dim, 0x9e37_79b9, sparse)
+}
+
+/// A non-fixed tenant on approximate kernels with the `f32` staging
+/// mirror. Snapshots do not record the metric, so every restore must
+/// take it from the tenant's config; on [`approx_stream`] its replies
+/// differ from an exact twin's, so a restore in exact mode shows.
+fn approx_config() -> TenantConfig {
+    let mut config = TenantConfig::new(
+        WINDOW,
+        vec![2, 1],
+        WireVariant::Robust {
+            z: 2,
+            dmin: DMIN,
+            dmax: DMAX,
+        },
+    );
+    config.exactness = Exactness::Approx { epsilon: 0.05 };
+    config.compact_mirror = true;
+    config
+}
+
+/// Points along a golden-ratio sequence whose coordinates `f32`
+/// rounds, so the mirror's staged distances move off the exact ones.
+/// Same length as [`stream`].
+fn approx_stream() -> Vec<Colored<EuclidPoint>> {
+    (0..4 * WINDOW as u64)
+        .map(|i| {
+            let f = (i as f64 * 0.618_033_988_7).fract();
+            Colored::new(
+                EuclidPoint::new(vec![f * 100.0, (1.0 - f) * 77.7]),
+                (i % 3 == 0) as u32,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn the_approx_tenant_answers_unlike_an_exact_twin() {
+    // The durability lanes below rely on this to catch a restore that
+    // drops the tenant's kernel mode.
+    let mut exact = approx_config();
+    exact.exactness = Exactness::Exact;
+    exact.compact_mirror = false;
+    let [mut approx, mut exact] = [oracle_for(&approx_config()), oracle_for(&exact)];
+    approx.insert_batch(approx_stream());
+    exact.insert_batch(approx_stream());
+    assert_ne!(
+        Reply::from_query(&approx.query()).encode().unwrap(),
+        Reply::from_query(&exact.query()).encode().unwrap()
+    );
 }
 
 fn variants() -> Vec<(&'static str, TenantConfig)> {
@@ -356,10 +406,11 @@ fn checkpoint_kill_restart_resumes_bit_identically() {
     };
     let points = stream();
     let half = points.len() / 2;
-    // A projecting tenant rides along: its spool snapshot must carry
-    // the projection spec so the restart keeps projecting new ingest.
+    // A projecting tenant and an approx-kernel tenant ride along: the
+    // restart must keep projecting new ingest and keep the kernel mode.
     let emb = embedding_stream(32);
     let proj_config = projecting_config(5, true);
+    let approx = approx_stream();
 
     // One tenant per variant, each with its own window, so no two
     // restored tenants could stand in for each other.
@@ -387,10 +438,19 @@ fn checkpoint_kill_restart_resumes_bit_identically() {
             client.insert_batch("ckpt-proj", &emb[..half]).unwrap(),
             Reply::Ok
         );
+        let approx_config = approx_config();
+        assert_eq!(
+            client.create("ckpt-approx", &approx_config).unwrap(),
+            Reply::Ok
+        );
+        assert_eq!(
+            client.insert_batch("ckpt-approx", &approx[..half]).unwrap(),
+            Reply::Ok
+        );
         // Checkpoint-all: every variant snapshots, nothing is skipped.
         match client.checkpoint("").unwrap() {
             Reply::Checkpointed { written, skipped } => {
-                assert_eq!((written, skipped), (tenants.len() as u32 + 1, 0));
+                assert_eq!((written, skipped), (tenants.len() as u32 + 2, 0));
             }
             other => panic!("unexpected checkpoint reply {other:?}"),
         }
@@ -412,8 +472,8 @@ fn checkpoint_kill_restart_resumes_bit_identically() {
 
     // Restart from the spool; continue the second half and compare
     // against oracles that saw the whole stream uninterrupted. Every
-    // tenant survives, restored from its snapshot alone (no WAL, no
-    // config): the snapshot names the variant.
+    // tenant survives, restored from its snapshot (which names the
+    // variant) and the Create record the spool keeps beside it.
     let handle = Server::start("127.0.0.1:0", mk_cfg()).expect("server restarts");
     let mut client = Client::connect(handle.local_addr()).expect("connect");
     for (name, config) in &tenants {
@@ -449,8 +509,21 @@ fn checkpoint_kill_restart_resumes_bit_identically() {
             Reply::Error(ErrorKind::BadRequest, _)
         ));
     }
-    // The projecting tenant resumes from its spool snapshot (restored
-    // without its config — the spec rode the spool header) and keeps
+    // The approx tenant resumes under its own kernels.
+    {
+        let mut oracle = oracle_for(&approx_config());
+        oracle.insert_batch(approx.iter().cloned());
+        assert_eq!(
+            client.insert_batch("ckpt-approx", &approx[half..]).unwrap(),
+            Reply::Ok
+        );
+        assert_reply_bytes(
+            "ckpt-approx after restart",
+            &client.query("ckpt-approx").expect("query reply"),
+            &Reply::from_query(&oracle.query()),
+        );
+    }
+    // The projecting tenant resumes from its spool snapshot and keeps
     // projecting the second half bit-identically.
     {
         let mut oracle = oracle_for(&proj_config);
@@ -643,7 +716,8 @@ fn wal_args(dir: &Path) -> Vec<String> {
 }
 
 /// One tenant per variant plus one projecting tenant (its WAL and
-/// snapshots hold projected points; recovery must keep projecting).
+/// snapshots hold projected points; recovery must keep projecting) and
+/// one approx-kernel tenant (recovery must keep its kernel mode).
 /// Every variant snapshots, so compaction folds every log into the
 /// spool. Every tenant carries its own stream of identical length, so
 /// the ingest loops chunk by index.
@@ -651,11 +725,14 @@ fn wal_tenants() -> Vec<(String, TenantConfig, Vec<Colored<EuclidPoint>>)> {
     variants()
         .into_iter()
         .map(|(name, config)| (format!("wal-{name}"), config, stream()))
-        .chain([(
-            "wal-proj".to_string(),
-            projecting_config(4, false),
-            embedding_stream(24),
-        )])
+        .chain([
+            (
+                "wal-proj".to_string(),
+                projecting_config(4, false),
+                embedding_stream(24),
+            ),
+            ("wal-approx".to_string(), approx_config(), approx_stream()),
+        ])
         .collect()
 }
 
@@ -771,6 +848,12 @@ fn wal_kill_nine_mid_ingest_loses_at_most_one_unsynced_batch() {
         }
         other => panic!("unexpected stats reply {other:?}"),
     }
+    // Checkpoint once, so every tenant recovers through a snapshot plus
+    // a WAL suffix whenever the kill lands.
+    assert!(matches!(
+        client.checkpoint("").unwrap(),
+        Reply::Checkpointed { skipped: 0, .. }
+    ));
 
     // SIGKILL at a random moment while the rest of the stream is in
     // flight (seed printed so a failure can be replayed by pinning it).
@@ -825,8 +908,15 @@ fn wal_kill_nine_mid_ingest_loses_at_most_one_unsynced_batch() {
 /// of every tenant's stream alone; a hot standby (durable under `dir`)
 /// comes up and catches up through the bootstrap, then through the live
 /// tail; `stop_leader` takes the leader down; the promoted standby must
-/// hold exactly what was acknowledged and resume bit-identically.
-fn failover_lane(leader_addr: std::net::SocketAddr, dir: &Path, stop_leader: impl FnOnce()) {
+/// hold exactly what was acknowledged and resume bit-identically. A
+/// leader that already `held` the first points of every tenant (`0`: it
+/// has no tenants yet) takes the rest of the two thirds.
+fn failover_lane(
+    leader_addr: std::net::SocketAddr,
+    dir: &Path,
+    held: usize,
+    stop_leader: impl FnOnce(),
+) {
     const BATCH: usize = 7;
     let tenants = wal_tenants();
     let len = tenants[0].2.len();
@@ -836,11 +926,13 @@ fn failover_lane(leader_addr: std::net::SocketAddr, dir: &Path, stop_leader: imp
     // standby's bootstrap must carry all of it, as one snapshot per
     // tenant.
     let mut client = Client::connect(leader_addr).expect("connect leader");
-    for (name, config, _) in &tenants {
-        assert_eq!(client.create(name, config).unwrap(), Reply::Ok);
+    if held == 0 {
+        for (name, config, _) in &tenants {
+            assert_eq!(client.create(name, config).unwrap(), Reply::Ok);
+        }
     }
-    let mut sent = 0usize;
-    for start in (0..two_thirds).step_by(BATCH) {
+    let mut sent = held;
+    for start in (held..two_thirds).step_by(BATCH) {
         let end = (start + BATCH).min(two_thirds);
         for (name, _, pts) in &tenants {
             assert_eq!(
@@ -927,7 +1019,7 @@ fn leader_kill_follower_promote_resumes_bit_identically() {
     let dir = scratch_dir("failover");
     let (mut leader, leader_addr) =
         spawn_served(&dir.join("leader"), &wal_args(&dir.join("leader")));
-    failover_lane(leader_addr, &dir, move || {
+    failover_lane(leader_addr, &dir, 0, move || {
         leader.kill().expect("SIGKILL leader");
         leader.wait().expect("reap leader");
     });
@@ -942,7 +1034,90 @@ fn follower_of_a_leader_without_a_wal_replicates_every_variant() {
     let dir = scratch_dir("failover-no-wal");
     let leader = Server::start("127.0.0.1:0", serve_config()).expect("leader starts");
     let leader_addr = leader.local_addr();
-    failover_lane(leader_addr, &dir, move || leader.shutdown());
+    failover_lane(leader_addr, &dir, 0, move || leader.shutdown());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A leader with a spool but no WAL that restarted from its
+    // checkpoints: the spool kept each tenant's Create record, so the
+    // standby still receives every projection and kernel mode.
+    let dir = scratch_dir("failover-spool");
+    let cfg = ServeConfig {
+        spool_dir: Some(dir.join("l-spool")),
+        ..serve_config()
+    };
+    let held = WINDOW;
+    let leader = Server::start("127.0.0.1:0", cfg.clone()).expect("leader starts");
+    let mut client = Client::connect(leader.local_addr()).expect("connect leader");
+    for (name, config, pts) in &wal_tenants() {
+        assert_eq!(client.create(name, config).unwrap(), Reply::Ok);
+        assert_eq!(client.insert_batch(name, &pts[..held]).unwrap(), Reply::Ok);
+    }
+    assert!(matches!(
+        client.checkpoint("").unwrap(),
+        Reply::Checkpointed { skipped: 0, .. }
+    ));
+    leader.shutdown();
+    let leader = Server::start("127.0.0.1:0", cfg).expect("leader restarts from its spool");
+    let leader_addr = leader.local_addr();
+    failover_lane(leader_addr, &dir, held, move || leader.shutdown());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_follower_learns_the_projection_of_a_tenant_restored_without_its_config() {
+    // A spool written before servers kept each tenant's Create record
+    // beside its snapshot restores the tenant without a config. The
+    // bootstrap snapshot travels in spool format, so its projection
+    // header still tells the follower to project what it is sent after
+    // promotion.
+    let dir = scratch_dir("legacy-spool");
+    let cfg = ServeConfig {
+        spool_dir: Some(dir.clone()),
+        ..serve_config()
+    };
+    let config = projecting_config(4, true);
+    let emb = embedding_stream(24);
+    let half = emb.len() / 2;
+    let leader = Server::start("127.0.0.1:0", cfg.clone()).expect("leader starts");
+    let mut client = Client::connect(leader.local_addr()).expect("connect leader");
+    assert_eq!(client.create("legacy", &config).unwrap(), Reply::Ok);
+    assert_eq!(
+        client.insert_batch("legacy", &emb[..half]).unwrap(),
+        Reply::Ok
+    );
+    assert!(matches!(
+        client.checkpoint("legacy").unwrap(),
+        Reply::Checkpointed { written: 1, .. }
+    ));
+    leader.shutdown();
+    std::fs::remove_file(dir.join("legacy.create")).expect("remove the config file");
+
+    let leader = Server::start("127.0.0.1:0", cfg).expect("leader restarts from its spool");
+    let follower_cfg = ServeConfig {
+        follow: Some(leader.local_addr().to_string()),
+        ..serve_config()
+    };
+    let follower = Server::start("127.0.0.1:0", follower_cfg).expect("follower starts");
+    let mut fclient = Client::connect(follower.local_addr()).expect("connect follower");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !matches!(fclient.stats("legacy"), Ok(Reply::Stats(s)) if s.points_total == half as u64) {
+        assert!(Instant::now() < deadline, "follower never bootstrapped");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    leader.shutdown();
+    assert_eq!(fclient.promote().unwrap(), Reply::Ok);
+    assert_eq!(
+        fclient.insert_batch("legacy", &emb[half..]).unwrap(),
+        Reply::Ok
+    );
+    let mut oracle = oracle_for(&config);
+    oracle.insert_batch(emb.iter().cloned());
+    assert_reply_bytes(
+        "legacy after promotion",
+        &fclient.query("legacy").expect("query reply"),
+        &Reply::from_query(&oracle.query()),
+    );
+    follower.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
