@@ -13,15 +13,16 @@
 //! Every warm reply is **answer-checked** byte-identical to the last
 //! cold recompute — a cache that got fast by serving stale bytes fails
 //! loudly. Results land in `BENCH_query.json` with the p50 of both
-//! regimes and the speedup per variant; outside smoke mode the lane
-//! enforces warm ≥ 10× faster than cold.
+//! regimes and the speedup per variant, plus `host_cores` and the kernel
+//! `isa`; outside smoke mode the lane enforces warm ≥ 10× faster than
+//! cold.
 //!
 //! `FAIRSW_BENCH_SMOKE=1` shrinks everything for a CI bitrot check
 //! (timing informational, identity still enforced). Scaling knobs:
 //! `FAIRSW_WINDOW`, `FAIRSW_STREAM`, `FAIRSW_QUERY_REPS`, `FAIRSW_DIM`.
 
 use fairsw_bench::{env_usize, fmt_duration};
-use fairsw_metric::{Colored, EuclidPoint};
+use fairsw_metric::{active_isa, Colored, EuclidPoint};
 use fairsw_serve::loadgen::{workload, Client};
 use fairsw_serve::percentile::nearest_rank;
 use fairsw_serve::protocol::{Reply, TenantConfig, WireVariant};
@@ -183,9 +184,13 @@ fn main() {
     }
     handle.shutdown();
 
+    let host_cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"bench\": \"query_incremental\",\n  \"window\": {window},\n  \"stream\": {points},\n  \"reps\": {reps},\n  \"dim\": {dim},\n  \"cap\": {cap},\n  \"answer_checked\": true,\n  \"lanes\": [\n"
+        "  \"bench\": \"query_incremental\",\n  \"window\": {window},\n  \"stream\": {points},\n  \"reps\": {reps},\n  \"dim\": {dim},\n  \"cap\": {cap},\n  \"host_cores\": {host_cores},\n  \"smoke\": {smoke},\n  \"isa\": \"{}\",\n  \"answer_checked\": true,\n  \"lanes\": [\n",
+        active_isa().name()
     ));
     for (i, r) in reports.iter().enumerate() {
         json.push_str(&format!(

@@ -150,15 +150,7 @@ impl<M: Metric> FairCenterSolver<M> for ChenEtAl {
             // Exact mode: binary search over all pairwise distances
             // (including 0: with n ≤ k every point can be its own center),
             // one kernel row per point.
-            let mut cands: Vec<f64> = Vec::with_capacity(n * (n - 1) / 2 + 1);
-            cands.push(0.0);
-            for i in 0..n {
-                inst.metric
-                    .dist_one_to_many(view.point(i), &view, &mut dbuf);
-                cands.extend_from_slice(&dbuf[(i + 1)..]);
-            }
-            cands.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-            cands.dedup();
+            let cands = crate::candidate_radii(inst.metric, &view, |_, _| {});
             let (mut lo, mut hi) = (0usize, cands.len() - 1);
             debug_assert!(
                 self.feasible(inst, &view, cands[hi], &mut dbuf, &mut mind)

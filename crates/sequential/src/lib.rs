@@ -71,6 +71,43 @@ pub(crate) fn min_over_centers<'a, M: Metric>(
     }
 }
 
+/// The candidate radii of a binary search over pairwise distances: `0`
+/// and every `d(i, j)`, `i < j`, of the staged view, ascending and
+/// without duplicates. Computes one kernel row per point and hands each
+/// full row to `keep(i, row)`, so a caller can retain the matrix.
+pub(crate) fn candidate_radii<M: Metric>(
+    metric: &M,
+    view: &CoresetView<M::Point>,
+    mut keep: impl FnMut(usize, &[f64]),
+) -> Vec<f64> {
+    let n = view.len();
+    let mut row = vec![0.0f64; n];
+    let mut cands = Vec::with_capacity(n * n.saturating_sub(1) / 2 + 1);
+    cands.push(0.0);
+    for i in 0..n {
+        metric.dist_one_to_many(view.point(i), view, &mut row);
+        cands.extend_from_slice(&row[(i + 1)..]);
+        keep(i, &row);
+    }
+    sort_dedup_radii(&mut cands);
+    cands
+}
+
+/// Sorts distances ascending and drops duplicates, in place. Non-negative
+/// floats order like their bit patterns, and an unstable sort on the bits
+/// needs no scratch buffer (a stable sort allocates one as long as the
+/// input). `-0.0` is folded into `0.0` first, since its bits sort last.
+fn sort_dedup_radii(cands: &mut Vec<f64>) {
+    for d in cands.iter_mut() {
+        assert!(*d >= 0.0, "distances must be finite and non-negative");
+        if *d == 0.0 {
+            *d = 0.0;
+        }
+    }
+    cands.sort_unstable_by_key(|d| d.to_bits());
+    cands.dedup();
+}
+
 /// A fair-center problem instance: colored points, a metric, and the
 /// per-color budgets `k_1..k_ℓ` of the partition matroid.
 #[derive(Clone, Copy)]
@@ -258,6 +295,7 @@ mod tests {
     use super::testutil::pts1d;
     use super::*;
     use fairsw_metric::Euclidean;
+    use proptest::prelude::*;
 
     #[test]
     fn radius_of_basic() {
@@ -300,5 +338,68 @@ mod tests {
         let inst = Instance::new(&Euclidean, &pts, &[2, 3, 1]);
         assert_eq!(inst.k(), 6);
         assert_eq!(inst.num_colors(), 3);
+    }
+
+    /// The reference order for [`sort_dedup_radii`]: a stable comparison
+    /// sort, then `dedup`.
+    fn partial_cmp_sorted(mut v: Vec<f64>) -> Vec<f64> {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        v.dedup();
+        v
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn candidate_sort_panics_on_nan() {
+        sort_dedup_radii(&mut vec![0.0, 1.0, f64::NAN]);
+    }
+
+    #[test]
+    fn candidate_sort_folds_negative_zero_into_zero() {
+        // By bits alone, -0.0 would sort after every positive value.
+        for input in [
+            vec![0.0, 2.0, -0.0, 1.0, -0.0],
+            vec![3.0, -0.0, f64::INFINITY, 1e-300],
+        ] {
+            let mut v = input.clone();
+            sort_dedup_radii(&mut v);
+            assert_eq!(v, partial_cmp_sorted(input));
+            assert_eq!(v[0].to_bits(), 0.0f64.to_bits(), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn candidate_radii_cover_the_upper_triangle() {
+        let pts = pts1d(&[(0.0, 0), (3.0, 0), (1.0, 0), (3.0, 0)]);
+        let mut view = CoresetView::new();
+        view.gather_colored(&Euclidean, pts.iter());
+        let mut rows = Vec::new();
+        let cands = candidate_radii(&Euclidean, &view, |i, row| rows.push((i, row.to_vec())));
+        assert_eq!(cands, [0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(rows.len(), 4);
+        assert_eq!(rows[2], (2, vec![1.0, 2.0, 0.0, 2.0]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn candidate_sort_matches_the_comparison_sort(
+            v in collection::vec(
+                prop_oneof![
+                    0.0..10.0f64,
+                    (0u32..4).prop_map(f64::from),
+                    Just(-0.0f64),
+                    Just(f64::INFINITY),
+                    (0u32..3).prop_map(|e| f64::MIN_POSITIVE * f64::from(e)),
+                ],
+                0..200,
+            )
+        ) {
+            let mut got = v.clone();
+            sort_dedup_radii(&mut got);
+            prop_assert_eq!(&got, &partial_cmp_sorted(v));
+            prop_assert!(got.iter().all(|d| d.is_sign_positive()), "-0.0 survived: {got:?}");
+        }
     }
 }

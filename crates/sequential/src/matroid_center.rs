@@ -19,8 +19,14 @@
 //!    point of the optimal independent set), so the minimal feasible `r`
 //!    gives a 3-approximation.
 //!
-//! This is the most general — and slowest — solver in the crate: each
-//! feasibility test runs matroid intersection with `O(n²)` oracle calls.
+//! This is the most general — and slowest — solver in the crate. The
+//! binary search sorts all `n²/2` pairwise distances once; each
+//! feasibility test then computes one kernel row per head (at most
+//! `rank + 1`) and runs matroid intersection, in which every point
+//! outside the balls is a loop and drops out. With `m` points inside
+//! the balls and `h` heads, one augmenting search makes `O(m·h)` oracle
+//! calls. The kernel rows are recomputed per test rather than kept as a
+//! matrix: the metric is a small share of this solver's time.
 //! Use it for laminar/transversal constraints or any custom matroid;
 //! stick to `Jones`/`ChenEtAl` for plain per-color budgets.
 
@@ -110,18 +116,10 @@ pub fn matroid_center<M: Metric, Mat: Matroid<usize>>(
     let mut view = CoresetView::new();
     view.gather(inst.metric, inst.points.iter());
 
-    let mut cands = vec![0.0f64];
-    let mut dbuf = vec![0.0f64; n];
-    for i in 0..n {
-        inst.metric
-            .dist_one_to_many(view.point(i), &view, &mut dbuf);
-        cands.extend_from_slice(&dbuf[(i + 1)..]);
-    }
-    cands.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    cands.dedup();
+    let cands = crate::candidate_radii(inst.metric, &view, |_, _| {});
 
     // Working buffers shared across every feasibility probe.
-    let mut mind: Vec<f64> = Vec::new();
+    let (mut dbuf, mut mind): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
     let mut feasible = |r: f64| -> Option<Vec<usize>> {
         // Greedy heads pairwise > 2r: running minimum to the packed
         // heads (one kernel call per accepted head) replaces the
@@ -168,7 +166,8 @@ pub fn matroid_center<M: Metric, Mat: Matroid<usize>>(
     };
 
     let (mut lo, mut hi) = (0usize, cands.len() - 1);
-    if feasible(cands[hi]).is_none() {
+    // `centers` keeps the outcome of the last feasible probe.
+    let Some(mut centers) = feasible(cands[hi]) else {
         // Even at r = dmax there is no independent hit. With a loop-free
         // matroid of positive rank this cannot happen (a single head is
         // hit by any non-loop element); surface a best-effort singleton
@@ -177,37 +176,33 @@ pub fn matroid_center<M: Metric, Mat: Matroid<usize>>(
         return match single {
             Some(i) => {
                 let centers = vec![i];
-                let radius = radius_of(inst, &centers);
+                let radius = radius_of(inst.metric, &view, &centers);
                 Ok(MatroidCenterSolution { centers, radius })
             }
             // Every element is a loop: only the empty set is independent.
             None => Err(SolveError::BadBudgets),
         };
-    }
+    };
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if feasible(cands[mid]).is_some() {
+        if let Some(found) = feasible(cands[mid]) {
             hi = mid;
+            centers = found;
         } else {
             lo = mid + 1;
         }
     }
-    let centers = feasible(cands[lo]).expect("lo feasible");
-    let radius = radius_of(inst, &centers);
+    let radius = radius_of(inst.metric, &view, &centers);
     Ok(MatroidCenterSolution { centers, radius })
 }
 
-fn radius_of<M: Metric, Mat: Matroid<usize>>(
-    inst: &MatroidInstance<'_, M, Mat>,
-    centers: &[usize],
-) -> f64 {
-    let mut view = CoresetView::new();
-    view.gather(inst.metric, inst.points.iter());
+/// Covering radius of the staged points `centers` over the whole view.
+fn radius_of<M: Metric>(metric: &M, view: &CoresetView<M::Point>, centers: &[usize]) -> f64 {
     let (mut dbuf, mut mind) = (Vec::new(), Vec::new());
     crate::min_over_centers(
-        inst.metric,
-        &view,
-        centers.iter().map(|&i| &inst.points[i]),
+        metric,
+        view,
+        centers.iter().map(|&i| view.point(i)),
         &mut dbuf,
         &mut mind,
     );

@@ -32,6 +32,15 @@
 //! exact and at most `z` points are excluded; the radius guarantee is
 //! bicriteria in the spirit of Amagata (AISTATS 2024) — the
 //! exact-constant LP machinery is out of scope and flagged in DESIGN.md.
+//!
+//! Cost: the head search keeps the `n × n` pairwise matrix from the pass
+//! that builds its candidate radii, so the metric runs `n²` times plus one
+//! kernel row per head for the witnesses and the inlier radius, and each
+//! of the ~`log₂(n²/2)` probes costs `O(n²)` comparisons. The matrix and
+//! the `n²/2` sorted candidates peak at `1.5·n²` `f64`s: 3 MB at
+//! `n = 500`. Bounding this for much larger instances is out of scope.
+//! In an `Approx` mode the coverage counts come from the relaxed kernel
+//! rows; the reported radius is re-ranked exactly.
 
 use crate::{validate, FairCenterSolver, FairSolution, Instance, SolveError};
 use fairsw_matching::max_capacitated_matching;
@@ -50,62 +59,52 @@ pub struct RobustSolution<P> {
     pub outliers: Vec<usize>,
 }
 
-/// For a radius guess `r`: greedy max-coverage disk selection over a
-/// staged view. Returns (head indices, uncovered indices) where heads
-/// are chosen by `r`-ball coverage counts and coverage expands to `3r`
-/// balls. Selection is identical to the pointwise scan; per round each
-/// candidate's coverage count is evaluated either as one kernel row or
-/// — once most points are covered — as scalar distances to just the
-/// uncovered set (the batched analog of the old `!covered` short
-/// circuit). `dbuf` is caller-owned working space (one slot per point).
-fn greedy_disks<M: Metric>(
-    metric: &M,
-    view: &CoresetView<M::Point>,
+/// For a radius guess `r`: greedy max-coverage disk selection over the
+/// symmetric `n × n` pairwise matrix `dist` (row-major). Returns (head
+/// indices, uncovered indices): each round picks the point whose `r`-ball
+/// covers the most uncovered points (the lowest index wins ties) and
+/// marks its expanded `3r`-ball covered; the uncovered list stays in
+/// ascending order.
+///
+/// `cnt[i]` holds the number of uncovered points within `r` of `i`. It is
+/// counted once per probe, then kept current: when `j` becomes covered,
+/// every `i` within `r` of `j` loses one. That update reads row `j` as
+/// column `j`, which is why the matrix must be symmetric bit for bit.
+fn greedy_disks(
+    dist: &[f64],
+    n: usize,
     k: usize,
     r: f64,
-    dbuf: &mut Vec<f64>,
+    cnt: &mut Vec<usize>,
 ) -> (Vec<usize>, Vec<usize>) {
-    let n = view.len();
-    let mut covered = vec![false; n];
+    cnt.clear();
+    cnt.extend(
+        dist.chunks_exact(n)
+            .map(|row| row.iter().filter(|&&d| d <= r).count()),
+    );
     let mut heads = Vec::with_capacity(k);
     let mut uncovered: Vec<usize> = (0..n).collect();
-    dbuf.clear();
-    dbuf.resize(n, 0.0);
     for _ in 0..k {
-        // Pick the point whose r-ball covers the most uncovered points.
-        // A full kernel row per candidate only pays while a decent
-        // fraction of points is still uncovered; past that, scalar
-        // distances to the uncovered set cost strictly less.
-        let dense = uncovered.len() * 4 >= n;
-        let mut best = (usize::MAX, 0usize);
-        for i in 0..n {
-            let cnt = if dense {
-                metric.dist_one_to_many(view.point(i), view, dbuf);
-                uncovered.iter().filter(|&&j| dbuf[j] <= r).count()
-            } else {
-                let p = view.point(i);
-                uncovered
-                    .iter()
-                    .filter(|&&j| metric.dist(p, view.point(j)) <= r)
-                    .count()
-            };
-            if best.0 == usize::MAX || cnt > best.1 {
-                best = (i, cnt);
+        let (mut head, mut gain) = (0, 0);
+        for (i, &c) in cnt.iter().enumerate() {
+            if c > gain {
+                (head, gain) = (i, c);
             }
         }
-        let (head, gain) = best;
         if gain == 0 {
             break; // every remaining point is isolated beyond r
         }
         heads.push(head);
         // Expanded ball: mark everything within 3r of the head covered.
-        metric.dist_one_to_many(view.point(head), view, dbuf);
+        let near = &dist[head * n..(head + 1) * n];
         uncovered.retain(|&j| {
-            let keep = dbuf[j] > 3.0 * r;
-            if !keep {
-                covered[j] = true;
+            if near[j] > 3.0 * r {
+                return true;
             }
-            keep
+            for (c, &d) in cnt.iter_mut().zip(&dist[j * n..(j + 1) * n]) {
+                *c -= usize::from(d <= r);
+            }
+            false
         });
     }
     (heads, uncovered)
@@ -139,6 +138,11 @@ pub fn robust_kcenter<M: Metric>(
 
 /// The shared head-selection stage over a staged view: binary search the
 /// smallest feasible radius, returning (heads, outliers, radius).
+///
+/// The candidate pass keeps its kernel rows as the `n × n` matrix that
+/// answers every probe. The matrix is symmetric by construction (the
+/// upper triangle of row `i` is mirrored into column `i`), because
+/// [`Metric`] does not promise bitwise-symmetric kernel rows.
 fn robust_heads<M: Metric>(
     metric: &M,
     view: &CoresetView<M::Point>,
@@ -146,32 +150,36 @@ fn robust_heads<M: Metric>(
     z: usize,
 ) -> (Vec<usize>, Vec<usize>, f64) {
     let n = view.len();
-    let mut cands = vec![0.0f64];
-    let mut dbuf = vec![0.0f64; n];
-    for i in 0..n {
-        metric.dist_one_to_many(view.point(i), view, &mut dbuf);
-        cands.extend_from_slice(&dbuf[(i + 1)..]);
-    }
-    cands.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    cands.dedup();
+    let mut dist = vec![0.0f64; n * n];
+    let cands = crate::candidate_radii(metric, view, |i, row| {
+        dist[i * n + i..(i + 1) * n].copy_from_slice(&row[i..]);
+        for (j, &d) in row.iter().enumerate().skip(i + 1) {
+            dist[j * n + i] = d;
+        }
+    });
 
-    // The probe buffer is shared across every feasibility test.
+    // The count buffer is shared across every feasibility test.
+    let mut cnt = Vec::with_capacity(n);
     let mut feasible = |r: f64| -> Option<(Vec<usize>, Vec<usize>)> {
-        let (heads, uncovered) = greedy_disks(metric, view, k, r, &mut dbuf);
+        let (heads, uncovered) = greedy_disks(&dist, n, k, r, &mut cnt);
         (uncovered.len() <= z).then_some((heads, uncovered))
     };
 
     let (mut lo, mut hi) = (0usize, cands.len() - 1);
     debug_assert!(feasible(cands[hi]).is_some(), "r = dmax must be feasible");
+    let mut last_feasible = None;
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if feasible(cands[mid]).is_some() {
+        if let Some(found) = feasible(cands[mid]) {
             hi = mid;
+            last_feasible = Some(found);
         } else {
             lo = mid + 1;
         }
     }
-    let (heads, outliers) = feasible(cands[lo]).expect("lo feasible");
+    // The last feasible probe ran at cands[hi]; none ran when hi never moved.
+    let (heads, outliers) =
+        last_feasible.unwrap_or_else(|| feasible(cands[hi]).expect("r = dmax is feasible"));
     (heads, outliers, cands[lo])
 }
 
@@ -375,7 +383,227 @@ impl<M: Metric> FairCenterSolver<M> for RobustFair {
 mod tests {
     use super::*;
     use crate::testutil::pts1d;
-    use fairsw_metric::Euclidean;
+    use fairsw_metric::{
+        Angular, Chebyshev, EuclidPoint, Euclidean, Exactness, Manhattan, Relaxed,
+    };
+    use proptest::prelude::*;
+
+    /// Head selection without the pairwise matrix: kernel rows per probe,
+    /// scalar distances once most points are covered. Kept verbatim as
+    /// the oracle that [`super::robust_heads`] must reproduce.
+    mod reference {
+        use fairsw_metric::{CoresetView, Metric};
+
+        fn greedy_disks<M: Metric>(
+            metric: &M,
+            view: &CoresetView<M::Point>,
+            k: usize,
+            r: f64,
+            dbuf: &mut Vec<f64>,
+        ) -> (Vec<usize>, Vec<usize>) {
+            let n = view.len();
+            let mut covered = vec![false; n];
+            let mut heads = Vec::with_capacity(k);
+            let mut uncovered: Vec<usize> = (0..n).collect();
+            dbuf.clear();
+            dbuf.resize(n, 0.0);
+            for _ in 0..k {
+                // Pick the point whose r-ball covers the most uncovered points.
+                // A full kernel row per candidate only pays while a decent
+                // fraction of points is still uncovered; past that, scalar
+                // distances to the uncovered set cost strictly less.
+                let dense = uncovered.len() * 4 >= n;
+                let mut best = (usize::MAX, 0usize);
+                for i in 0..n {
+                    let cnt = if dense {
+                        metric.dist_one_to_many(view.point(i), view, dbuf);
+                        uncovered.iter().filter(|&&j| dbuf[j] <= r).count()
+                    } else {
+                        let p = view.point(i);
+                        uncovered
+                            .iter()
+                            .filter(|&&j| metric.dist(p, view.point(j)) <= r)
+                            .count()
+                    };
+                    if best.0 == usize::MAX || cnt > best.1 {
+                        best = (i, cnt);
+                    }
+                }
+                let (head, gain) = best;
+                if gain == 0 {
+                    break; // every remaining point is isolated beyond r
+                }
+                heads.push(head);
+                // Expanded ball: mark everything within 3r of the head covered.
+                metric.dist_one_to_many(view.point(head), view, dbuf);
+                uncovered.retain(|&j| {
+                    let keep = dbuf[j] > 3.0 * r;
+                    if !keep {
+                        covered[j] = true;
+                    }
+                    keep
+                });
+            }
+            (heads, uncovered)
+        }
+
+        pub(super) fn robust_heads<M: Metric>(
+            metric: &M,
+            view: &CoresetView<M::Point>,
+            k: usize,
+            z: usize,
+        ) -> (Vec<usize>, Vec<usize>, f64) {
+            let n = view.len();
+            let mut cands = vec![0.0f64];
+            let mut dbuf = vec![0.0f64; n];
+            for i in 0..n {
+                metric.dist_one_to_many(view.point(i), view, &mut dbuf);
+                cands.extend_from_slice(&dbuf[(i + 1)..]);
+            }
+            cands.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            cands.dedup();
+
+            // The probe buffer is shared across every feasibility test.
+            let mut feasible = |r: f64| -> Option<(Vec<usize>, Vec<usize>)> {
+                let (heads, uncovered) = greedy_disks(metric, view, k, r, &mut dbuf);
+                (uncovered.len() <= z).then_some((heads, uncovered))
+            };
+
+            let (mut lo, mut hi) = (0usize, cands.len() - 1);
+            debug_assert!(feasible(cands[hi]).is_some(), "r = dmax must be feasible");
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if feasible(cands[mid]).is_some() {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            let (heads, outliers) = feasible(cands[lo]).expect("lo feasible");
+            (heads, outliers, cands[lo])
+        }
+    }
+
+    /// Both head selections over the same staged points must agree index
+    /// for index, radius included.
+    fn heads_match_reference<M: Metric<Point = EuclidPoint>>(
+        metric: &M,
+        pts: &[EuclidPoint],
+        k: usize,
+        z: usize,
+    ) -> Result<(), TestCaseError> {
+        let mut view = CoresetView::new();
+        view.gather(metric, pts.iter());
+        let (heads, outliers, r) = robust_heads(metric, &view, k, z);
+        let (want_heads, want_outliers, want_r) = reference::robust_heads(metric, &view, k, z);
+        prop_assert_eq!(heads, want_heads);
+        prop_assert_eq!(outliers, want_outliers);
+        prop_assert_eq!(r.to_bits(), want_r.to_bits());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn matrix_heads_match_the_reference_in_exact_mode(
+            dim in 1usize..4,
+            // Grid coordinates make duplicate points, zero distances and
+            // tied counts; the continuous ones make general position.
+            coords in collection::vec(
+                prop_oneof![(0u32..4).prop_map(f64::from), -3.0..3.0f64],
+                1..90,
+            ),
+            k in 1usize..12,
+            z in 0usize..40,
+        ) {
+            let pts: Vec<EuclidPoint> = coords
+                .chunks_exact(dim)
+                .map(|c| EuclidPoint::new(c.to_vec()))
+                .collect();
+            if !pts.is_empty() {
+                heads_match_reference(&Euclidean, &pts, k, z)?;
+                heads_match_reference(&Manhattan, &pts, k, z)?;
+                heads_match_reference(&Chebyshev, &pts, k, z)?;
+                heads_match_reference(&Angular, &pts, k, z)?;
+            }
+        }
+    }
+
+    /// Kernel rows that are not bitwise symmetric: each column's distance
+    /// is scaled by up to 3 ulps, as per-lane rounding might do.
+    #[derive(Clone, Copy, Debug)]
+    struct Lopsided;
+
+    impl Metric for Lopsided {
+        type Point = EuclidPoint;
+
+        fn dist(&self, a: &EuclidPoint, b: &EuclidPoint) -> f64 {
+            Euclidean.dist(a, b)
+        }
+
+        fn dist_one_to_many(
+            &self,
+            q: &EuclidPoint,
+            view: &CoresetView<EuclidPoint>,
+            out: &mut [f64],
+        ) {
+            for (j, (o, p)) in out.iter_mut().zip(view.points()).enumerate() {
+                *o = Euclidean.dist(q, p) * (1.0 + f64::EPSILON * (j % 4) as f64);
+            }
+        }
+    }
+
+    #[test]
+    fn asymmetric_kernel_rows_never_underflow_a_count() {
+        // Read raw, row j and column j of these rows disagree near a
+        // probe radius, and a covered point would decrement counts it
+        // never added (a panic under debug assertions).
+        let golden = 0.618_033_988_749_895_f64;
+        let pts = pts1d(
+            &(0..60u32)
+                .map(|i| ((f64::from(i) * golden).fract() * 10.0, 0))
+                .collect::<Vec<_>>(),
+        );
+        for k in 1..5 {
+            for z in [0usize, 3, 10] {
+                assert!(robust_kcenter(&Lopsided, &pts, k, z).outliers.len() <= z);
+            }
+        }
+    }
+
+    #[test]
+    fn approx_mirror_robust_fair_stays_fair_and_within_budget() {
+        // Under the f32 mirror the staged kernels disagree with scalar
+        // `dist` on most pairs; the solver counts from its symmetric
+        // matrix alone, so no coverage count can underflow (that would
+        // panic here, under debug assertions).
+        let metric =
+            Relaxed::new(Euclidean, Exactness::Approx { epsilon: 0.05 }).with_compact_staging(true);
+        let golden = 0.618_033_988_749_895_f64;
+        let pts: Vec<Colored<EuclidPoint>> = (0..300u32)
+            .map(|i| {
+                let t = f64::from(i);
+                let p = EuclidPoint::new(vec![
+                    (t * golden).fract() * 97.0,
+                    (t * golden * golden).fract() * 89.0,
+                ]);
+                Colored::new(p, i % 3)
+            })
+            .collect();
+        let caps = [2usize, 2, 1];
+        let inst = Instance::new(&metric, &pts, &caps);
+        for z in [0usize, 7, 40] {
+            let sol = RobustFair::new(z).solve_robust(&inst).unwrap();
+            assert!(!sol.centers.is_empty());
+            assert!(inst.is_fair(&sol.centers), "z = {z}: unfair centers");
+            assert!(
+                sol.outliers.len() <= z,
+                "z = {z}: {} outliers",
+                sol.outliers.len()
+            );
+        }
+    }
 
     #[test]
     fn robust_kcenter_ignores_planted_outliers() {
