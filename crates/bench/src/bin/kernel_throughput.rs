@@ -22,6 +22,11 @@
 //!   distances; a second lane through the default `Jones` solver is
 //!   reported for context (its capacitated-matching bookkeeping is
 //!   distance-independent, so its attributable speedup is smaller).
+//!   The ingest that fills each engine is timed too: `Euclidean`'s
+//!   early-exit radius test against `ScalarOnly`'s default full
+//!   distance. The two engines' snapshots must be byte-identical, so
+//!   the per-point Update speedup (informational, not gated) comes from
+//!   the distance layer alone.
 //!
 //! Results land in `BENCH_kernels.json` with the ≥ 1.5× query-speedup
 //! target recorded for the driver.
@@ -43,9 +48,11 @@ use fairsw_sequential::{FairCenterSolver, Jones, Kleindessner};
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-/// A metric identical to the wrapped one except that it does not stage
-/// views or override the block kernels — every batched call degrades to
-/// the scalar per-pair fallback. The "before" lane of the comparison.
+/// A metric identical to the wrapped one except that it overrides only
+/// `dist`: it keeps every trait default, `within` included. It stages
+/// no views, so every batched call degrades to the scalar per-pair
+/// fallback, and every Update radius test computes the full distance.
+/// The "before" lane of the comparison.
 #[derive(Clone, Copy, Debug, Default)]
 struct ScalarOnly<M>(M);
 
@@ -162,9 +169,17 @@ fn kernel_lanes(reps: usize) -> Vec<KernelLane> {
         .collect()
 }
 
-/// Streams the workload into a fixed-variant engine under `metric` and
-/// times `reps` repeated queries through `solver`. Returns the
-/// (identical) solution and the total query time.
+/// What one query lane measured: the (identical) solution, the total
+/// query time, the ingest time and the engine's snapshot after it.
+struct QueryLane {
+    sol: Solution<EuclidPoint>,
+    query: Duration,
+    ingest: Duration,
+    snapshot: Vec<u8>,
+}
+
+/// Streams the workload into a fixed-variant engine under `metric`
+/// (timed), then times `reps` repeated queries through `solver`.
 #[allow(clippy::too_many_arguments)] // bench plumbing; mirrors the lane's knobs
 fn query_lane<M, S>(
     metric: M,
@@ -175,7 +190,7 @@ fn query_lane<M, S>(
     dmin: f64,
     dmax: f64,
     reps: usize,
-) -> (Solution<EuclidPoint>, Duration)
+) -> QueryLane
 where
     M: Metric<Point = EuclidPoint> + Sync,
     S: FairCenterSolver<M> + Sync,
@@ -188,9 +203,11 @@ where
         .build()
         .expect("valid bench config");
     let mut engine = FairSlidingWindow::new(cfg, metric, dmin, dmax).expect("valid bench config");
+    let t0 = Instant::now();
     for chunk in points.chunks(512) {
         engine.insert_batch(chunk.iter().cloned());
     }
+    let ingest = t0.elapsed();
     // Best-of-3 rounds: repeated identical queries, minimum round time
     // (standard noise suppression on a shared host).
     let mut best = Duration::MAX;
@@ -202,7 +219,12 @@ where
         }
         best = best.min(t0.elapsed());
     }
-    (sol, best)
+    QueryLane {
+        sol,
+        query: best,
+        ingest,
+        snapshot: engine.snapshot(),
+    }
 }
 
 fn assert_identical(a: &Solution<EuclidPoint>, b: &Solution<EuclidPoint>) {
@@ -282,7 +304,7 @@ fn main() {
     // Headline lane: the greedy-swap solver — its query cost is almost
     // entirely pairwise distances (Gonzalez sweep + swap scans + radius,
     // no matching machinery), so it isolates the kernel layer.
-    let (sol_scalar, t_scalar) = query_lane(
+    let scalar = query_lane(
         ScalarOnly(Euclidean),
         &Kleindessner,
         &ds.points,
@@ -292,7 +314,7 @@ fn main() {
         ext.dmax,
         query_reps,
     );
-    let (sol_batched, t_batched) = query_lane(
+    let batched = query_lane(
         Euclidean,
         &Kleindessner,
         &ds.points,
@@ -302,13 +324,17 @@ fn main() {
         ext.dmax,
         query_reps,
     );
-    // The speedup must not come from a different answer.
-    assert_identical(&sol_scalar, &sol_batched);
+    // The speedup must not come from a different answer or state.
+    assert_identical(&scalar.sol, &batched.sol);
+    assert!(
+        scalar.snapshot == batched.snapshot,
+        "ingest diverged: ScalarOnly and Euclidean snapshots differ"
+    );
 
     // Secondary lane: the paper's default solver (Jones). Its matching
     // bookkeeping is distance-independent, so the attributable speedup
     // is smaller — reported for context, not gated.
-    let (sol_js, t_jones_scalar) = query_lane(
+    let jones_scalar = query_lane(
         ScalarOnly(Euclidean),
         &Jones,
         &ds.points,
@@ -318,17 +344,31 @@ fn main() {
         ext.dmax,
         query_reps,
     );
-    let (sol_jb, t_jones_batched) = query_lane(
+    let jones_batched = query_lane(
         Euclidean, &Jones, &ds.points, &caps, window, ext.dmin, ext.dmax, query_reps,
     );
-    assert_identical(&sol_js, &sol_jb);
+    assert_identical(&jones_scalar.sol, &jones_batched.sol);
+    assert!(
+        jones_scalar.snapshot == jones_batched.snapshot,
+        "ingest diverged: ScalarOnly and Euclidean snapshots differ"
+    );
 
+    let (t_scalar, t_batched) = (scalar.query, batched.query);
+    let (t_jones_scalar, t_jones_batched) = (jones_scalar.query, jones_batched.query);
     let query_speedup = t_scalar.as_secs_f64() / t_batched.as_secs_f64().max(1e-12);
     let jones_speedup = t_jones_scalar.as_secs_f64() / t_jones_batched.as_secs_f64().max(1e-12);
+    // Each metric streamed the workload twice (once per solver lane):
+    // the faster ingest of the two, per point.
+    let insert_us = |a: &QueryLane, b: &QueryLane| {
+        a.ingest.min(b.ingest).as_secs_f64() * 1e6 / ds.points.len().max(1) as f64
+    };
+    let insert_us_scalar = insert_us(&scalar, &jones_scalar);
+    let insert_us_batched = insert_us(&batched, &jones_batched);
+    let insert_speedup = insert_us_scalar / insert_us_batched.max(1e-12);
     println!(
         "\nquery microbench ({} queries, coreset {}): scalar {} vs batched {} -> {:.2}x (target >= 1.5x{})",
         query_reps,
-        sol_batched.coreset_size,
+        batched.sol.coreset_size,
         fmt_duration(t_scalar / query_reps.max(1) as u32),
         fmt_duration(t_batched / query_reps.max(1) as u32),
         query_speedup,
@@ -340,15 +380,22 @@ fn main() {
         fmt_duration(t_jones_batched / query_reps.max(1) as u32),
         jones_speedup,
     );
+    println!(
+        "ingest ({} points, informational): ScalarOnly {:.1} us/pt vs Euclidean {:.1} us/pt -> {:.2}x, snapshots byte-identical",
+        ds.points.len(),
+        insert_us_scalar,
+        insert_us_batched,
+        insert_speedup,
+    );
 
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"bench\": \"kernel_throughput\",\n  \"window\": {window},\n  \"stream\": {stream},\n  \"dim\": {dim},\n  \"query_reps\": {query_reps},\n  \"host_cores\": {host_cores},\n  \"smoke\": {smoke},\n  \"isa\": \"{}\",\n  \"query_speedup\": {query_speedup:.3},\n  \"query_speedup_target\": 1.5,\n  \"jones_query_speedup\": {jones_speedup:.3},\n  \"jones_query_speedup_target\": 1.5,\n  \"simd_kernel_speedup_target\": 3.0,\n  \"coreset_size\": {},\n  \"answers_bit_identical\": true,\n  \"kernel_lanes\": [\n",
+        "  \"bench\": \"kernel_throughput\",\n  \"window\": {window},\n  \"stream\": {stream},\n  \"dim\": {dim},\n  \"query_reps\": {query_reps},\n  \"host_cores\": {host_cores},\n  \"smoke\": {smoke},\n  \"isa\": \"{}\",\n  \"query_speedup\": {query_speedup:.3},\n  \"query_speedup_target\": 1.5,\n  \"jones_query_speedup\": {jones_speedup:.3},\n  \"jones_query_speedup_target\": 1.5,\n  \"simd_kernel_speedup_target\": 3.0,\n  \"coreset_size\": {},\n  \"answers_bit_identical\": true,\n  \"insert_us_per_point\": {{\"scalar_only\": {insert_us_scalar:.3}, \"euclidean\": {insert_us_batched:.3}}},\n  \"insert_speedup\": {insert_speedup:.3},\n  \"snapshots_bit_identical\": true,\n  \"kernel_lanes\": [\n",
         isa.name(),
-        sol_batched.coreset_size
+        batched.sol.coreset_size
     ));
     for (i, l) in lanes.iter().enumerate() {
         json.push_str(&format!(

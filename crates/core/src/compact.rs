@@ -121,7 +121,7 @@ impl CompactGuess {
         let psi = self
             .av
             .iter()
-            .filter(|(_, &v)| metric.dist(p, res.get(v)) <= two_gamma)
+            .filter(|(_, &v)| metric.within(p, res.get(v), two_gamma))
             .min_by_key(|(&tv, _)| self.reps_v.get(&tv).map(|per| per[ci].len()).unwrap_or(0))
             .map(|(&tv, _)| tv);
         match psi {

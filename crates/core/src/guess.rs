@@ -247,7 +247,7 @@ impl GuessState {
         let psi = self
             .av
             .iter()
-            .find(|(_, &v)| metric.dist(p, res.get(v)) <= two_gamma)
+            .find(|(_, &v)| metric.within(p, res.get(v), two_gamma))
             .map(|(&tv, _)| tv);
         match psi {
             None => {
@@ -278,7 +278,7 @@ impl GuessState {
         let phi = self
             .a
             .iter()
-            .filter(|(_, &q)| metric.dist(p, res.get(q)) <= attach)
+            .filter(|(_, &q)| metric.within(p, res.get(q), attach))
             .min_by_key(|(&ta, _)| self.reps_c.get(&ta).map(|per| per[ci].len()).unwrap_or(0))
             .map(|(&ta, _)| ta);
         match phi {

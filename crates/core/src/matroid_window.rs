@@ -144,7 +144,7 @@ impl MatroidGuess {
         let psi = self
             .av
             .iter()
-            .find(|(_, &v)| metric.dist(p, res.get(v)) <= two_gamma)
+            .find(|(_, &v)| metric.within(p, res.get(v), two_gamma))
             .map(|(&tv, _)| tv);
         match psi {
             None => {
@@ -176,7 +176,7 @@ impl MatroidGuess {
         let mut no_evict: Option<u64> = None;
         let mut smallest: Option<(usize, u64)> = None;
         for (&ta, &q) in &self.a {
-            if metric.dist(p, res.get(q)) > attach {
+            if !metric.within(p, res.get(q), attach) {
                 continue;
             }
             let times = self.reps.get(&ta).map(Vec::as_slice).unwrap_or(&[]);

@@ -12,6 +12,12 @@ use crate::point::EuclidPoint;
 /// metric spaces"). Implementations must satisfy the metric axioms
 /// (non-negativity, identity, symmetry, triangle inequality); the property
 /// tests in this crate spot-check them for the bundled metrics.
+///
+/// Every method but [`dist`](Self::dist) has a default. Of the bundled
+/// metrics, [`Euclidean`] overrides [`within`](Self::within) with an
+/// early-exit scan and [`Relaxed`] forwards it to the wrapped metric;
+/// `Manhattan`, `Chebyshev`, `Angular` and the compact point metrics keep
+/// its default.
 pub trait Metric: Clone {
     /// The point type of the space. The [`PointFootprint`] bound feeds
     /// the byte-level memory accounting; its default implementation
@@ -22,6 +28,20 @@ pub trait Metric: Clone {
 
     /// The distance between two points. Must be finite and `>= 0`.
     fn dist(&self, a: &Self::Point, b: &Self::Point) -> f64;
+
+    /// Whether `a` and `b` lie within distance `r` of each other:
+    /// exactly `self.dist(a, b) <= r`, for every input — NaN or infinite
+    /// coordinates and a negative or NaN `r` included. This is the
+    /// radius test of the sliding-window Update, which fails for almost
+    /// every pair it tries, so an override may stop reading coordinates
+    /// once the answer is settled, but it must never decide differently
+    /// from that comparison.
+    ///
+    /// The default is the comparison itself.
+    #[inline]
+    fn within(&self, a: &Self::Point, b: &Self::Point, r: f64) -> bool {
+        self.dist(a, b) <= r
+    }
 
     /// Distance from `p` to the closest of `set`, or `f64::INFINITY` when
     /// `set` is empty. Convenience used by every clustering routine.
@@ -238,6 +258,11 @@ impl<M: Metric> Metric for Relaxed<M> {
     #[inline]
     fn dist(&self, a: &M::Point, b: &M::Point) -> f64 {
         self.inner.dist(a, b)
+    }
+
+    #[inline]
+    fn within(&self, a: &M::Point, b: &M::Point, r: f64) -> bool {
+        self.inner.within(a, b, r)
     }
 
     #[inline]
@@ -518,6 +543,10 @@ fn euclid_exact<M: Metric<Point = EuclidPoint>>(
     }
 }
 
+/// Coordinates between two early-exit checks of [`Euclidean`]'s
+/// [`Metric::within`]: one 64-byte cache line of `f64`s.
+const WITHIN_CHUNK: usize = 8;
+
 /// The Euclidean (L2) metric on [`EuclidPoint`]s. Used by every experiment
 /// in the paper.
 #[derive(Clone, Copy, Debug, Default)]
@@ -536,6 +565,56 @@ impl Metric for Euclidean {
             acc += d * d;
         }
         acc.sqrt()
+    }
+
+    /// Partial distance search (Bei & Gray, 1985): the squared
+    /// differences accumulate in [`dist`](Metric::dist)'s order, and
+    /// after every 8-coordinate chunk but the last the test returns
+    /// `false` as soon as the partial root exceeds `r`.
+    ///
+    /// The exit is exact. Each term `d·d` is non-negative or NaN.
+    /// Adding a non-negative term never lowers a round-to-nearest sum,
+    /// so the full sum is at least the partial one, or NaN, which fails
+    /// `<= r` as well. A correctly rounded `sqrt` is monotone, so once
+    /// the partial root exceeds `r` the full root does too. The partial
+    /// sum is compared with `r * r` only as a cheap filter; the exit is
+    /// confirmed with one `sqrt`, so no decision depends on how `r * r`
+    /// rounds, and a NaN `r` never confirms one. The last chunk ends in
+    /// the plain comparison of `dist`'s value with `r`. Points of at
+    /// most one chunk go straight to `dist`, and mismatched dimensions
+    /// truncate as `dist`'s `zip` does.
+    #[inline]
+    fn within(&self, a: &EuclidPoint, b: &EuclidPoint, r: f64) -> bool {
+        let (xs, ys) = (a.coords(), b.coords());
+        debug_assert_eq!(xs.len(), ys.len(), "dimension mismatch");
+        let n = xs.len().min(ys.len());
+        if n <= WITHIN_CHUNK {
+            return self.dist(a, b) <= r;
+        }
+        // Every chunk before `checked` may end the scan; the rest (one
+        // chunk, possibly partial) always runs to the final comparison.
+        let checked = (n - 1) / WITHIN_CHUNK * WITHIN_CHUNK;
+        let (head_x, tail_x) = xs[..n].split_at(checked);
+        let (head_y, tail_y) = ys[..n].split_at(checked);
+        let r2 = r * r;
+        let mut acc = 0.0;
+        for (cx, cy) in head_x
+            .chunks_exact(WITHIN_CHUNK)
+            .zip(head_y.chunks_exact(WITHIN_CHUNK))
+        {
+            for (x, y) in cx.iter().zip(cy) {
+                let d = x - y;
+                acc += d * d;
+            }
+            if acc > r2 && acc.sqrt() > r {
+                return false;
+            }
+        }
+        for (x, y) in tail_x.iter().zip(tail_y) {
+            let d = x - y;
+            acc += d * d;
+        }
+        acc.sqrt() <= r
     }
 
     #[inline]

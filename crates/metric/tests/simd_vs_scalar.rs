@@ -31,6 +31,11 @@
 //! `ε = √dim · (step_a + step_b) / (2·d)` (the per-point quantization
 //! steps), which is what lets an `Approx` engine scan compactly and
 //! re-rank survivors exactly.
+//!
+//! The Update radius test `Metric::within(a, b, r)` has no tolerance at
+//! all: under every bundled metric it must decide exactly as
+//! `dist(a, b) <= r`, including the Euclidean early exit on these same
+//! overflowing and subnormal coordinates.
 
 use fairsw_metric::{
     Angular, Chebyshev, CompactEuclidean, CompactPoint, CoresetView, EuclidPoint, Euclidean,
@@ -192,6 +197,121 @@ proptest! {
                 (d_true - d_q8).abs() <= eps + 1e-3 + d_true * 1e-6,
                 "row {}: |{} - {}| > {}",
                 i, d_true, d_q8, eps
+            );
+        }
+    }
+}
+
+/// Asserts `within(a, b, r) == (dist(a, b) <= r)` for radii at, just
+/// around, well inside and well outside `d = dist(a, b)`, for the
+/// degenerate radii, and for the two `random` ones.
+fn within_matches_dist<M: Metric<Point = EuclidPoint>>(
+    metric: &M,
+    a: &EuclidPoint,
+    b: &EuclidPoint,
+    random: [f64; 2],
+) -> Result<(), TestCaseError> {
+    let d = metric.dist(a, b);
+    let radii = [
+        d,
+        d.next_up(),
+        d.next_down(),
+        d / 2.0,
+        2.0 * d,
+        0.0,
+        -0.0,
+        -1.0,
+        f64::INFINITY,
+        f64::NAN,
+        random[0],
+        random[1],
+    ];
+    for r in radii {
+        prop_assert_eq!(
+            metric.within(a, b, r),
+            d <= r,
+            "dim {}: within(r = {:e}) disagrees with dist = {:e}",
+            a.dim(),
+            r,
+            d
+        );
+    }
+    Ok(())
+}
+
+/// [`within_matches_dist`] under every bundled coordinate metric: the
+/// Euclidean early exit, its `Relaxed` forwarding in both modes, and
+/// the trait default that the other three keep.
+fn all_metrics_within_match_dist(
+    a: &EuclidPoint,
+    b: &EuclidPoint,
+    random: [f64; 2],
+) -> Result<(), TestCaseError> {
+    within_matches_dist(&Euclidean, a, b, random)?;
+    within_matches_dist(&Relaxed::exact(Euclidean), a, b, random)?;
+    within_matches_dist(
+        &Relaxed::new(Euclidean, Exactness::Approx { epsilon: 0.05 }),
+        a,
+        b,
+        random,
+    )?;
+    within_matches_dist(&Manhattan, a, b, random)?;
+    within_matches_dist(&Chebyshev, a, b, random)?;
+    within_matches_dist(&Angular, a, b, random)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // `within` decides exactly as `dist(a, b) <= r`, with squares that
+    // overflow mid-sum, subnormals, and a NaN coordinate placed inside
+    // and after the first 8-coordinate chunk (the early exit checks
+    // after each full chunk of 8).
+    #[test]
+    fn within_is_dist_le_r(
+        rows in dims().prop_flat_map(|d| points(d, 8)),
+        factor in 0.0..2.0f64,
+        raw in coord(),
+        nan_at in (0usize..8, 0usize..1024),
+    ) {
+        let pts: Vec<EuclidPoint> = rows.iter().map(|r| EuclidPoint::new(r.clone())).collect();
+        let a = &pts[0];
+        let dim = a.dim();
+        for b in &pts {
+            let random = [factor * Euclidean.dist(a, b), raw];
+            all_metrics_within_match_dist(a, b, random)?;
+
+            let (inside, after) = nan_at;
+            let mut slots = vec![inside % dim];
+            if dim > 8 {
+                slots.push(8 + after % (dim - 8));
+            }
+            for slot in slots {
+                let mut coords = rows[0].clone();
+                coords[slot] = f64::NAN;
+                let a_nan = EuclidPoint::new(coords);
+                all_metrics_within_match_dist(&a_nan, b, random)?;
+                all_metrics_within_match_dist(b, &a_nan, random)?;
+            }
+        }
+    }
+}
+
+// Release builds skip `within`'s dimension `debug_assert`, so a
+// mismatched pair must truncate exactly as `dist`'s `zip` does — on
+// both sides of the one-chunk cutoff, with and without an early exit.
+#[cfg(not(debug_assertions))]
+#[test]
+fn within_truncates_mismatched_dimensions_like_dist() {
+    for (la, lb) in [(9, 17), (17, 9), (16, 54), (54, 25), (3, 20), (8, 9)] {
+        let a = EuclidPoint::new((0..la).map(|i| i as f64 * 0.75).collect::<Vec<f64>>());
+        let b = EuclidPoint::new((0..lb).map(|i| 40.0 - i as f64).collect::<Vec<f64>>());
+        let d = Euclidean.dist(&a, &b);
+        for r in [d, d.next_up(), d.next_down(), d / 2.0, 2.0 * d] {
+            assert_eq!(
+                Euclidean.within(&a, &b, r),
+                d <= r,
+                "dims {la}/{lb}: within(r = {r:e}) disagrees with dist = {d:e}"
             );
         }
     }
