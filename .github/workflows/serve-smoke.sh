@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Serve smoke test: boot fairsw-served on an ephemeral port, run a short
 # multi-tenant loadgen burst, assert a clean SHUTDOWN-driven exit.
-# Honors FAIRSW_THREADS for the tenants' per-engine worker pools.
 set -euo pipefail
 
 cargo build --release -p fairsw-serve
@@ -32,11 +31,11 @@ for _ in $(seq 1 100); do
 done
 [ -s "$PORT_FILE" ] || { echo "server never published its address"; exit 1; }
 ADDR="$(cat "$PORT_FILE")"
-echo "server at $ADDR (FAIRSW_THREADS=${FAIRSW_THREADS:-unset})"
+echo "server at $ADDR"
 
 # Read-heavy burst first: 95/5 query/ingest with Zipf-skewed tenants —
 # repeat queries against an often-unchanged window exercise the serve-
-# side result cache on this thread leg; every query must still answer.
+# side result cache; every query must still answer.
 ./target/release/fairsw-loadgen \
     --addr "$ADDR" --tenants 4 --points 2000 --batch 128 --window 400 \
     --mix read-heavy
@@ -44,7 +43,7 @@ echo "server at $ADDR (FAIRSW_THREADS=${FAIRSW_THREADS:-unset})"
 # Wide-dim ingest: the unit-norm embedding-drift workload with a
 # server-side JL projection riding in the CREATE config — covers the
 # projection wire path end to end (project-before-WAL, STATS fields
-# surfaced in the report) on this thread leg.
+# surfaced in the report).
 ./target/release/fairsw-loadgen \
     --addr "$ADDR" --tenants 2 --points 1500 --batch 128 --window 400 \
     --embeddings --dim 256 --project 32

@@ -1,159 +1,49 @@
-//! Parallel bench lane — sequential vs parallel per-guess execution.
+//! Fleet bench lane — [`run_fleet`] against driving the same engines one
+//! after another.
 //!
-//! Streams one dataset through the fixed-lattice variant at several
-//! thread counts and reports insert throughput (batched path, the one
-//! the pool amortizes), per-query latency, and the speedup over the
-//! sequential reference; then drives the five-variant fleet through
-//! [`run_fleet`] and compares it against driving the engines one after
-//! another. Results land in `BENCH_parallel.json` next to the working
-//! directory so the speedup is machine-checkable.
+//! An engine runs its per-guess loops on the calling thread; more cores
+//! pay off across engines. This lane streams one dataset into a fleet of
+//! five engines (fixed, oblivious, compact, robust and a second fixed
+//! tenant), first serially — each engine ingests the whole stream and
+//! answers a query before the next one starts — then through
+//! [`run_fleet`], one scoped thread per engine. Results land in
+//! `BENCH_parallel.json` next to the working directory.
 //!
-//! Everything is answer-checked: each lane's final solution must be
-//! bit-identical to the sequential lane's (the equivalence guarantee the
-//! differential suite enforces in miniature), so a lane that got faster
-//! by being wrong fails loudly here too.
+//! The lane is answer-checked: every `run_fleet` reply must be
+//! bit-identical to the serial reply of the same engine, so a fleet that
+//! got faster by being wrong fails loudly.
 //!
-//! Scaling knobs: `FAIRSW_STREAM`, `FAIRSW_WINDOW`, `FAIRSW_BATCH`,
-//! `FAIRSW_BENCH_THREADS` (comma-separated counts, default `1,2,4`).
+//! Scaling knobs: `FAIRSW_STREAM`, `FAIRSW_WINDOW`.
 
 use fairsw_bench::{caps_for, env_usize, fmt_duration};
-use fairsw_core::{
-    run_fleet, EngineBuilder, ParallelismSpec, SlidingWindowClustering, Solution, WindowEngine,
-};
-use fairsw_metric::{sampled_extremes, EuclidPoint, Euclidean};
+use fairsw_core::{run_fleet, EngineBuilder, SlidingWindowClustering, WindowEngine};
+use fairsw_metric::{active_isa, sampled_extremes, EuclidPoint, Euclidean};
 use std::io::Write as _;
-use std::time::{Duration, Instant};
-
-struct LaneReport {
-    threads: usize,
-    insert_total: Duration,
-    points_per_sec: f64,
-    avg_query: Duration,
-    speedup: f64,
-}
-
-fn build_engine(
-    caps: &[usize],
-    window: usize,
-    threads: usize,
-    dmin: f64,
-    dmax: f64,
-) -> WindowEngine<Euclidean> {
-    EngineBuilder::new()
-        .window_size(window)
-        .capacities(caps.to_vec())
-        .beta(2.0)
-        .delta(1.0)
-        .fixed(dmin, dmax)
-        .parallelism(ParallelismSpec::Threads(threads))
-        .build(Euclidean)
-        .expect("valid bench config")
-}
-
-fn assert_identical(a: &Solution<EuclidPoint>, b: &Solution<EuclidPoint>, threads: usize) {
-    assert_eq!(
-        a.guess.to_bits(),
-        b.guess.to_bits(),
-        "threads={threads}: winning guess diverged"
-    );
-    assert_eq!(
-        a.coreset_radius.to_bits(),
-        b.coreset_radius.to_bits(),
-        "threads={threads}: radius diverged"
-    );
-    assert_eq!(
-        a.centers.len(),
-        b.centers.len(),
-        "threads={threads}: center count diverged"
-    );
-}
+use std::time::Instant;
 
 fn main() {
     let window = env_usize("FAIRSW_WINDOW", 1_000);
     let stream = env_usize("FAIRSW_STREAM", window * 8);
-    let batch = env_usize("FAIRSW_BATCH", 256);
-    let mut thread_counts: Vec<usize> = std::env::var("FAIRSW_BENCH_THREADS")
-        .unwrap_or_else(|_| "1,2,4".into())
-        .split(',')
-        .filter_map(|t| t.trim().parse().ok())
-        .collect();
-    // speedup_vs_seq is defined against the sequential lane: make sure
-    // it exists and runs first, whatever order the env var lists.
-    thread_counts.retain(|&t| t > 1);
-    thread_counts.insert(0, 1);
 
     let ds = fairsw_datasets::phones_like(stream, 0xFA12);
     let caps = caps_for(&ds, 14);
     let raw: Vec<EuclidPoint> = ds.points.iter().map(|c| c.point.clone()).collect();
     let ext = sampled_extremes(&Euclidean, &raw, 256).expect("non-degenerate dataset");
-
-    println!("Parallel throughput: fixed variant, window={window} stream={stream} batch={batch}");
-    println!(
-        "thread counts: {thread_counts:?} (host cores: {})",
-        host_cores()
-    );
-
-    let mut reports: Vec<LaneReport> = Vec::new();
-    let mut reference: Option<Solution<EuclidPoint>> = None;
-    let mut seq_throughput = 0.0_f64;
-
-    for &threads in &thread_counts {
-        let mut engine = build_engine(&caps, window, threads, ext.dmin, ext.dmax);
-        let t0 = Instant::now();
-        for chunk in ds.points.chunks(batch) {
-            engine.insert_batch(chunk.iter().cloned());
-        }
-        let insert_total = t0.elapsed();
-
-        let queries = 5;
-        let q0 = Instant::now();
-        let mut sol = None;
-        for _ in 0..queries {
-            sol = Some(engine.query().expect("bench query answers"));
-        }
-        let avg_query = q0.elapsed() / queries;
-        let sol = sol.expect("at least one query ran");
-
-        match &reference {
-            None => {
-                seq_throughput = stream as f64 / insert_total.as_secs_f64();
-                reference = Some(sol);
-            }
-            Some(r) => assert_identical(r, &sol, threads),
-        }
-
-        let points_per_sec = stream as f64 / insert_total.as_secs_f64();
-        reports.push(LaneReport {
-            threads,
-            insert_total,
-            points_per_sec,
-            avg_query,
-            speedup: points_per_sec / seq_throughput,
-        });
-    }
+    let host_cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let isa = active_isa().name();
 
     println!(
-        "\n{:<8} {:>12} {:>14} {:>12} {:>8}",
-        "threads", "insert", "points/s", "query", "speedup"
+        "Fleet throughput: 5 engines, window={window} stream={stream} \
+         (host cores: {host_cores}, isa: {isa})"
     );
-    for r in &reports {
-        println!(
-            "{:<8} {:>12} {:>14.0} {:>12} {:>7.2}x",
-            r.threads,
-            fmt_duration(r.insert_total),
-            r.points_per_sec,
-            fmt_duration(r.avg_query),
-            r.speedup
-        );
-    }
 
-    // Fleet lane: five engines over the same stream, alone vs run_fleet.
-    let fleet_spec = |threads: usize| -> Vec<WindowEngine<Euclidean>> {
+    let fleet = || -> Vec<WindowEngine<Euclidean>> {
         let base = || {
             EngineBuilder::new()
                 .window_size(window)
                 .capacities(caps.to_vec())
-                .parallelism(ParallelismSpec::Threads(threads))
         };
         vec![
             base().fixed(ext.dmin, ext.dmax).build(Euclidean).unwrap(),
@@ -167,55 +57,45 @@ fn main() {
         ]
     };
     let t0 = Instant::now();
-    let mut alone = fleet_spec(1);
-    for e in &mut alone {
-        e.insert_batch(ds.points.iter().cloned());
-        let _ = e.query();
-    }
-    let alone_total = t0.elapsed();
+    let mut alone = fleet();
+    let serial: Vec<_> = alone
+        .iter_mut()
+        .map(|e| {
+            e.insert_batch(ds.points.iter().cloned());
+            e.query()
+        })
+        .collect();
+    let serial_total = t0.elapsed();
     let t0 = Instant::now();
-    let mut fleet = fleet_spec(1);
-    let _ = run_fleet(&mut fleet, &ds.points);
+    let mut together = fleet();
+    let concurrent = run_fleet(&mut together, &ds.points);
     let fleet_total = t0.elapsed();
-    let fleet_speedup = alone_total.as_secs_f64() / fleet_total.as_secs_f64();
+
+    // `{:?}` prints every `f64` in its shortest round-trip form, so equal
+    // strings mean bit-identical replies.
+    for ((engine, a), b) in alone.iter().zip(&serial).zip(&concurrent) {
+        assert_eq!(
+            format!("{a:?}"),
+            format!("{b:?}"),
+            "{}: run_fleet answer diverged from the serial one",
+            engine.variant_name()
+        );
+    }
+    let speedup = serial_total.as_secs_f64() / fleet_total.as_secs_f64();
     println!(
-        "\nfleet of 5 engines: serial {} vs run_fleet {} ({fleet_speedup:.2}x)",
-        fmt_duration(alone_total),
+        "serial {} vs run_fleet {} ({speedup:.2}x); answers bit-identical",
+        fmt_duration(serial_total),
         fmt_duration(fleet_total)
     );
 
-    // Machine-readable drop for the driver: BENCH_parallel.json.
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"parallel_throughput\",\n  \"window\": {window},\n  \"stream\": {stream},\n  \"batch\": {batch},\n  \"host_cores\": {},\n  \"lanes\": [\n",
-        host_cores()
-    ));
-    for (i, r) in reports.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"threads\": {}, \"insert_secs\": {:.6}, \"points_per_sec\": {:.1}, \"avg_query_us\": {:.1}, \"speedup_vs_seq\": {:.3}}}{}\n",
-            r.threads,
-            r.insert_total.as_secs_f64(),
-            r.points_per_sec,
-            r.avg_query.as_secs_f64() * 1e6,
-            r.speedup,
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"fleet\": {{\"engines\": 5, \"serial_secs\": {:.6}, \"run_fleet_secs\": {:.6}, \"speedup\": {:.3}}}\n}}\n",
-        alone_total.as_secs_f64(),
+    let json = format!(
+        "{{\n  \"bench\": \"parallel_throughput\",\n  \"window\": {window},\n  \"stream\": {stream},\n  \"host_cores\": {host_cores},\n  \"isa\": \"{isa}\",\n  \"answers_bit_identical\": true,\n  \"fleet\": {{\"engines\": 5, \"serial_secs\": {:.6}, \"run_fleet_secs\": {:.6}, \"speedup\": {speedup:.3}}}\n}}\n",
+        serial_total.as_secs_f64(),
         fleet_total.as_secs_f64(),
-        fleet_speedup
-    ));
+    );
     let path = "BENCH_parallel.json";
     match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
-}
-
-fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }

@@ -31,10 +31,10 @@
 //! `FAIRSW_SERVE_TENANTS`, `FAIRSW_SERVE_SHARDS`.
 
 use fairsw_bench::{env_usize, fmt_duration, merge_json_section};
-use fairsw_core::{ParallelismSpec, SlidingWindowClustering};
-use fairsw_serve::loadgen::{burst_config, workload, Client};
+use fairsw_core::SlidingWindowClustering;
+use fairsw_datasets::rng::seeded;
+use fairsw_serve::loadgen::{burst_config, percentile, workload, zipf_pick, Client};
 use fairsw_serve::net::raise_fd_limit;
-use fairsw_serve::percentile::nearest_rank;
 use fairsw_serve::protocol::{ErrorKind, Reply};
 use fairsw_serve::server::{ServeConfig, Server};
 use std::time::{Duration, Instant};
@@ -49,33 +49,6 @@ struct LaneReport {
     p50: Duration,
     p95: Duration,
     p99: Duration,
-}
-
-/// `splitmix64` — the same tiny deterministic PRNG the loadgen sweep
-/// runs on.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Zipf-like pick over `n` tenants: weight `1/(i+1)`.
-fn zipf_pick(n: usize, rng: &mut u64) -> usize {
-    let h: f64 = (1..=n).map(|k| 1.0 / k as f64).sum();
-    let mut u = (splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64 * h;
-    for i in 0..n {
-        u -= 1.0 / (i + 1) as f64;
-        if u <= 0.0 {
-            return i;
-        }
-    }
-    n - 1
-}
-
-fn percentile(sorted: &[Duration], q: f64) -> Duration {
-    nearest_rank(sorted.len(), q).map_or(Duration::ZERO, |i| sorted[i])
 }
 
 fn tenant_name(t: usize) -> String {
@@ -117,7 +90,7 @@ fn lane_worker(
 ) -> WorkerOutcome {
     let lo = w * connections / workers;
     let hi = (w + 1) * connections / workers;
-    let mut rng = 0x5eed_u64 ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut rng = seeded(0x5eed_u64 ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut pool: Vec<(Client, usize)> = (lo..hi)
         .map(|_| {
             let tenant = zipf_pick(tenants, &mut rng);
@@ -151,8 +124,8 @@ fn lane_worker(
     start.wait();
     let loop0 = Instant::now();
     for _ in 0..my_requests {
-        let write = !streams.is_empty() && splitmix64(&mut rng).is_multiple_of(16);
-        let slot = (splitmix64(&mut rng) as usize) % pool.len().max(1);
+        let write = !streams.is_empty() && rng.next_u64().is_multiple_of(16);
+        let slot = (rng.next_u64() as usize) % pool.len().max(1);
         if write {
             let pick = write_rr % streams.len();
             let (t, stream, next) = &mut streams[pick];
@@ -276,10 +249,7 @@ fn run_lane(
     for r in &results {
         for &(t, applied) in &r.applied {
             let name = tenant_name(t);
-            let mut oracle = burst_config(window)
-                .build_engine()
-                .expect("oracle config")
-                .with_parallelism(ParallelismSpec::Sequential);
+            let mut oracle = burst_config(window).build_engine().expect("oracle config");
             for p in workload(warm + applied, tenant_seed(t)) {
                 oracle.insert(p);
             }

@@ -21,7 +21,7 @@
 //! tenant), `FAIRSW_WINDOW`, `FAIRSW_SERVE_SHARDS`.
 
 use fairsw_bench::{env_usize, fmt_duration, merge_json_section};
-use fairsw_core::{ParallelismSpec, SlidingWindowClustering};
+use fairsw_core::SlidingWindowClustering;
 use fairsw_serve::loadgen::{burst_config, workload, Client};
 use fairsw_serve::protocol::Reply;
 use fairsw_serve::server::{ServeConfig, Server};
@@ -98,10 +98,7 @@ fn main() {
             let mut checker = Client::connect(addr).expect("connect checker");
             for i in 0..tenants {
                 let tenant = format!("lane-{i}");
-                let mut oracle = burst_config(window)
-                    .build_engine()
-                    .expect("oracle config")
-                    .with_parallelism(ParallelismSpec::Sequential);
+                let mut oracle = burst_config(window).build_engine().expect("oracle config");
                 for p in workload(points, i as u64 * 7919) {
                     oracle.insert(p);
                 }

@@ -12,18 +12,17 @@
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
 use crate::config::{validate_scale, ConfigError, FairSWConfig};
 use crate::guess::{Budgets, GuessState};
-use crate::guess_set::GuessSet;
+use crate::guess_set::{replay_batch, GuessSet};
 use crate::memo::{prefix_for, QueryMemo};
-use crate::parallel::{Exec, ParallelismSpec};
 use fairsw_metric::{packing_scan, Colored, ColoredId, DistScratch, Metric, Resolver, ScratchPool};
 use fairsw_sequential::{FairCenterSolver, Jones};
 use fairsw_stream::Lattice;
 
-/// The per-algorithm pool of reusable distance-staging buffers: query
-/// shards check a [`DistScratch`] out for their chunk of the guess scan
-/// and return it, so steady-state queries gather and stage coresets
-/// without allocating. Never semantic state — clones start empty,
-/// snapshots skip it.
+/// The per-algorithm pool of reusable distance-staging buffers: each
+/// query checks a [`DistScratch`] out for its guess scan and returns it,
+/// so concurrent `&self` queries each stage into their own buffers and
+/// steady-state queries gather and stage coresets without allocating.
+/// Never semantic state — clones start empty, snapshots skip it.
 pub(crate) type QueryScratch<P> = ScratchPool<DistScratch<P>>;
 
 /// The sliding-window fair-center algorithm with a fixed guess range
@@ -38,7 +37,6 @@ pub struct FairSlidingWindow<M: Metric> {
     pub(crate) lattice: Lattice,
     pub(crate) set: GuessSet<GuessState, M::Point>,
     pub(crate) t: u64,
-    pub(crate) exec: Exec,
     pub(crate) scratch: QueryScratch<M::Point>,
     pub(crate) memo: QueryMemo<M::Point>,
 }
@@ -65,7 +63,6 @@ impl<M: Metric> FairSlidingWindow<M> {
             lattice,
             set: GuessSet::new(guesses),
             t: 0,
-            exec: Exec::default(),
             scratch: QueryScratch::default(),
             memo: QueryMemo::default(),
         })
@@ -76,21 +73,9 @@ impl<M: Metric> FairSlidingWindow<M> {
         &self.cfg
     }
 
-    /// Spreads per-guess work over `spec` worker threads (sequential and
-    /// parallel runs are bit-identical; see [`crate::parallel`]).
-    pub fn with_parallelism(mut self, spec: ParallelismSpec) -> Self {
-        self.exec = Exec::new(spec);
-        self
-    }
-
-    /// The effective worker-thread count (1 when sequential).
-    pub fn threads(&self) -> usize {
-        self.exec.threads()
-    }
-
     /// Drops every streamed point and rebuilds empty structures from the
-    /// retained configuration: same guess lattice, same budgets, same
-    /// worker pool. Equivalent to (but much cheaper than) reconstructing
+    /// retained configuration: same guess lattice, same budgets.
+    /// Equivalent to (but much cheaper than) reconstructing
     /// through [`new`](Self::new) — the delete-and-recreate reuse path of
     /// multi-tenant serving layers.
     pub fn reset(&mut self) {
@@ -128,7 +113,6 @@ impl<M: Metric> FairSlidingWindow<M> {
         let guesses: Vec<(&GuessState, ())> =
             self.set.guesses[skip..].iter().map(|g| (g, ())).collect();
         let result = query_over_guesses(
-            &self.exec,
             &self.scratch,
             &self.metric,
             self.set.store.resolver(),
@@ -166,10 +150,7 @@ where
     M::Point: Send + Sync,
 {
     /// Handles one arrival: the point is interned once, then expiry of
-    /// the outgoing point plus Update on every guess (Algorithm 1) —
-    /// fanned out over the worker pool when one is configured (the
-    /// guesses never read each other's state; they share the arena
-    /// read-only plus atomic reference counts).
+    /// the outgoing point plus Update on every guess (Algorithm 1).
     fn insert(&mut self, p: Colored<M::Point>) {
         self.t += 1;
         let t = self.t;
@@ -182,23 +163,21 @@ where
             delta: self.cfg.delta,
         };
         let res = self.set.store.resolver();
-        self.exec.for_each_mut(&mut self.set.guesses, |g| {
+        for g in &mut self.set.guesses {
             if let Some(te) = te {
                 g.expire(res, te);
             }
             g.update(metric, res, t, id, p.color, budgets);
-        });
+        }
         self.set.finish_arrival(te);
     }
 
     /// Batch arrivals: the whole batch is interned up front, then each
-    /// guess replays it locally, so one pool dispatch amortizes the
-    /// fan-out cost over the batch (the throughput path of the parallel
-    /// engine). Per-guess evolution is identical to repeated
-    /// [`insert`](SlidingWindowClustering::insert) because guesses are
-    /// mutually independent; payloads released mid-batch are reclaimed in
-    /// the epilogue, so the arena transiently holds up to one batch of
-    /// extra points during the dispatch.
+    /// guess replays it locally. Per-guess evolution is identical to
+    /// repeated [`insert`](SlidingWindowClustering::insert) because
+    /// guesses are mutually independent; payloads released mid-batch are
+    /// reclaimed in the epilogue, so the arena transiently holds up to
+    /// one batch of extra points.
     fn insert_batch<I>(&mut self, batch: I)
     where
         I: IntoIterator<Item = Colored<M::Point>>,
@@ -219,14 +198,12 @@ where
             delta: self.cfg.delta,
         };
         let res = self.set.store.resolver();
-        self.t = self
-            .exec
-            .replay_batch(&mut self.set.guesses, &ids, self.t, n, |g, t, te, cid| {
-                if let Some(te) = te {
-                    g.expire(res, te);
-                }
-                g.update(metric, res, t, cid.point, cid.color, budgets);
-            });
+        self.t = replay_batch(&mut self.set.guesses, &ids, self.t, n, |g, t, te, cid| {
+            if let Some(te) = te {
+                g.expire(res, te);
+            }
+            g.update(metric, res, t, cid.point, cid.color, budgets);
+        });
         self.set.finish_arrival(self.t.checked_sub(n));
     }
 
@@ -288,19 +265,13 @@ where
 /// report which guess won. Used by the fixed and oblivious variants.
 ///
 /// Per guess, `RV` is gathered out of the arena **once** into the
-/// shard's [`DistScratch`] view and the `2γ`-packing runs as a batched
+/// query's [`DistScratch`] view and the `2γ`-packing runs as a batched
 /// minimum-distance scan ([`packing_scan`]) — one kernel call per packed
 /// point instead of a pointwise `dist_to_set` per representative.
 /// Payload copies are materialized only inside the solver's id-slice
 /// entry point, at solution-assembly time.
-///
-/// With a parallel [`Exec`] the scan shards into contiguous chunks —
-/// each checking its own scratch out of `scratch` — and the earliest
-/// shard's outcome wins: exactly the guess the sequential scan selects
-/// (see [`crate::parallel`] for the determinism argument).
 #[allow(clippy::too_many_arguments)] // internal; mirrors the query's parameter list
 pub(crate) fn query_over_guesses<M, S, T>(
-    exec: &Exec,
     scratch: &QueryScratch<M::Point>,
     metric: &M,
     res: Resolver<'_, M::Point>,
@@ -315,44 +286,47 @@ where
     S: FairCenterSolver<M> + Sync,
     T: Copy + Send + Sync,
 {
-    exec.find_map_first_pooled(scratch, guesses, |&(g, tag), s| {
-        if g.av_len() > k {
-            return None; // invalid guess: γ is a lower bound on OPT
-        }
-        // Greedy 2γ-packing over RV (Algorithm 3 inner loop), staged.
-        s.view.gather_ids(metric, res, g.rv_ids());
-        packing_scan(
-            metric,
-            &s.view,
-            2.0 * g.gamma(),
-            k,
-            &mut s.dist,
-            &mut s.min_dist,
-            &mut s.packed,
-        )?; // packing overflow: guess not qualified
-            // Qualifying guess: solve on the coreset R. A solver error on
-            // the winning guess is the query's outcome, as in the
-            // sequential scan.
-        let ids = g.coreset_ids();
-        Some(
-            solver
-                .solve_ids(metric, res, &ids, caps)
-                .map_err(QueryError::from)
-                .map(|sol| {
-                    (
-                        Solution {
-                            centers: sol.centers,
-                            guess: g.gamma(),
-                            coreset_size: ids.len(),
-                            coreset_radius: sol.radius,
-                            extras: SolutionExtras::None,
-                        },
-                        tag,
-                    )
-                }),
-        )
-    })
-    .unwrap_or(Err(QueryError::NoValidGuess))
+    scratch
+        .with(|s| {
+            guesses.iter().find_map(|&(g, tag)| {
+                if g.av_len() > k {
+                    return None; // invalid guess: γ is a lower bound on OPT
+                }
+                // Greedy 2γ-packing over RV (Algorithm 3 inner loop), staged.
+                s.view.gather_ids(metric, res, g.rv_ids());
+                packing_scan(
+                    metric,
+                    &s.view,
+                    2.0 * g.gamma(),
+                    k,
+                    &mut s.dist,
+                    &mut s.min_dist,
+                    &mut s.packed,
+                )?; // packing overflow: guess not qualified
+
+                // Qualifying guess: solve on the coreset R. A solver error
+                // on the winning guess is the query's outcome.
+                let ids = g.coreset_ids();
+                Some(
+                    solver
+                        .solve_ids(metric, res, &ids, caps)
+                        .map_err(QueryError::from)
+                        .map(|sol| {
+                            (
+                                Solution {
+                                    centers: sol.centers,
+                                    guess: g.gamma(),
+                                    coreset_size: ids.len(),
+                                    coreset_radius: sol.radius,
+                                    extras: SolutionExtras::None,
+                                },
+                                tag,
+                            )
+                        }),
+                )
+            })
+        })
+        .unwrap_or(Err(QueryError::NoValidGuess))
 }
 
 #[cfg(test)]

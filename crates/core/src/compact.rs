@@ -23,9 +23,8 @@ use crate::algorithm::QueryScratch;
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
 use crate::config::{validate_scale, ConfigError, FairSWConfig};
 use crate::guess::CoresetEntry;
-use crate::guess_set::{DeadList, GuessSet, GuessSlot};
+use crate::guess_set::{replay_batch, DeadList, GuessSet, GuessSlot};
 use crate::memo::{prefix_for, QueryMemo};
-use crate::parallel::{Exec, ParallelismSpec};
 use fairsw_metric::{packing_scan, Colored, ColoredId, Metric, PointId, Resolver};
 use fairsw_sequential::{FairCenterSolver, Jones};
 use fairsw_stream::Lattice;
@@ -256,7 +255,6 @@ pub struct CompactFairSlidingWindow<M: Metric> {
     pub(crate) k: usize,
     pub(crate) set: GuessSet<CompactGuess, M::Point>,
     pub(crate) t: u64,
-    pub(crate) exec: Exec,
     pub(crate) scratch: QueryScratch<M::Point>,
     pub(crate) memo: QueryMemo<M::Point>,
 }
@@ -281,27 +279,14 @@ impl<M: Metric> CompactFairSlidingWindow<M> {
             k,
             set: GuessSet::new(guesses),
             t: 0,
-            exec: Exec::default(),
             scratch: QueryScratch::default(),
             memo: QueryMemo::default(),
         })
     }
 
-    /// Spreads per-guess work over `spec` worker threads (bit-identical
-    /// to sequential execution; see [`crate::parallel`]).
-    pub fn with_parallelism(mut self, spec: ParallelismSpec) -> Self {
-        self.exec = Exec::new(spec);
-        self
-    }
-
-    /// The effective worker-thread count (1 when sequential).
-    pub fn threads(&self) -> usize {
-        self.exec.threads()
-    }
-
     /// Drops every streamed point and rebuilds empty structures from the
-    /// retained configuration (same guess lattice, same worker pool) —
-    /// the delete-and-recreate reuse path of serving layers.
+    /// retained configuration (same guess lattice) — the
+    /// delete-and-recreate reuse path of serving layers.
     pub fn reset(&mut self) {
         let gammas: Vec<f64> = self.set.guesses.iter().map(|g| g.gamma).collect();
         self.set = GuessSet::new(gammas.into_iter().map(CompactGuess::new).collect());
@@ -310,7 +295,7 @@ impl<M: Metric> CompactFairSlidingWindow<M> {
     }
 
     /// Queries with an explicit solver: guess selection identical to the
-    /// main algorithm — `RV` is gathered into the shard's scratch view
+    /// main algorithm — `RV` is gathered into the query's scratch view
     /// once and the packing runs batched — then the sequential solver
     /// runs on `RV` directly (payload copies materialize only inside
     /// the solver's id-slice entry point).
@@ -334,37 +319,39 @@ impl<M: Metric> CompactFairSlidingWindow<M> {
         let skip = self.memo.skip_count(pairs.iter().copied());
         let res = self.set.store.resolver();
         let result = self
-            .exec
-            .find_map_first_pooled(&self.scratch, &self.set.guesses[skip..], |g, s| {
-                if g.av.len() > self.k {
-                    return None;
-                }
-                // The packing never reads colors: gather handles only.
-                s.view
-                    .gather_ids(&self.metric, res, g.rv.values().map(|e| e.id));
-                packing_scan(
-                    &self.metric,
-                    &s.view,
-                    2.0 * g.gamma,
-                    self.k,
-                    &mut s.dist,
-                    &mut s.min_dist,
-                    &mut s.packed,
-                )?;
-                let ids: Vec<ColoredId> =
-                    g.rv.values().map(|e| Colored::new(e.id, e.color)).collect();
-                Some(
-                    solver
-                        .solve_ids(&self.metric, res, &ids, &self.cfg.capacities)
-                        .map_err(QueryError::from)
-                        .map(|sol| Solution {
-                            centers: sol.centers,
-                            guess: g.gamma,
-                            coreset_size: ids.len(),
-                            coreset_radius: sol.radius,
-                            extras: SolutionExtras::None,
-                        }),
-                )
+            .scratch
+            .with(|s| {
+                self.set.guesses[skip..].iter().find_map(|g| {
+                    if g.av.len() > self.k {
+                        return None;
+                    }
+                    // The packing never reads colors: gather handles only.
+                    s.view
+                        .gather_ids(&self.metric, res, g.rv.values().map(|e| e.id));
+                    packing_scan(
+                        &self.metric,
+                        &s.view,
+                        2.0 * g.gamma,
+                        self.k,
+                        &mut s.dist,
+                        &mut s.min_dist,
+                        &mut s.packed,
+                    )?;
+                    let ids: Vec<ColoredId> =
+                        g.rv.values().map(|e| Colored::new(e.id, e.color)).collect();
+                    Some(
+                        solver
+                            .solve_ids(&self.metric, res, &ids, &self.cfg.capacities)
+                            .map_err(QueryError::from)
+                            .map(|sol| Solution {
+                                centers: sol.centers,
+                                guess: g.gamma,
+                                coreset_size: ids.len(),
+                                coreset_radius: sol.radius,
+                                extras: SolutionExtras::None,
+                            }),
+                    )
+                })
             })
             .unwrap_or(Err(QueryError::NoValidGuess));
         self.memo
@@ -378,8 +365,7 @@ where
     M: Metric + Sync,
     M::Point: Send + Sync,
 {
-    /// Handles one arrival (interned once, fanned out per guess when a
-    /// pool is set).
+    /// Handles one arrival (interned once, then Update on every guess).
     fn insert(&mut self, p: Colored<M::Point>) {
         self.t += 1;
         let t = self.t;
@@ -389,18 +375,17 @@ where
         let caps = &self.cfg.capacities;
         let k = self.k;
         let res = self.set.store.resolver();
-        self.exec.for_each_mut(&mut self.set.guesses, |g| {
+        for g in &mut self.set.guesses {
             if let Some(te) = te {
                 g.expire(res, te);
             }
             g.update(metric, res, t, id, p.color, caps, k);
-        });
+        }
         self.set.finish_arrival(te);
     }
 
     /// Batch arrivals: the batch is interned up front and each guess
-    /// replays it locally (one pool dispatch per batch; identical
-    /// evolution to repeated insert).
+    /// replays it locally (identical evolution to repeated insert).
     fn insert_batch<I>(&mut self, batch: I)
     where
         I: IntoIterator<Item = Colored<M::Point>>,
@@ -418,14 +403,12 @@ where
         let caps = &self.cfg.capacities;
         let k = self.k;
         let res = self.set.store.resolver();
-        self.t = self
-            .exec
-            .replay_batch(&mut self.set.guesses, &ids, self.t, n, |g, t, te, cid| {
-                if let Some(te) = te {
-                    g.expire(res, te);
-                }
-                g.update(metric, res, t, cid.point, cid.color, caps, k);
-            });
+        self.t = replay_batch(&mut self.set.guesses, &ids, self.t, n, |g, t, te, cid| {
+            if let Some(te) = te {
+                g.expire(res, te);
+            }
+            g.update(metric, res, t, cid.point, cid.color, caps, k);
+        });
         self.set.finish_arrival(self.t.checked_sub(n));
     }
 

@@ -40,33 +40,28 @@
 //! }
 //! ```
 //!
-//! ## Parallel engines and fleets
+//! ## Fleets
 //!
-//! Each engine can spread its per-guess work over a worker pool with
-//! [`EngineBuilder::threads`], and a whole fleet can be driven
-//! concurrently over one shared batch with [`run_fleet`] — the
-//! multi-tenant serving shape. Both axes compose, and every answer is
-//! bit-identical to a sequential run (see [`crate::parallel`] for how to
-//! choose a thread count):
+//! An engine runs its per-guess loops on the calling thread. More cores
+//! pay off across engines instead: [`run_fleet`] drives a whole fleet
+//! concurrently over one shared batch — the multi-tenant serving shape —
+//! and every answer is bit-identical to driving each engine alone:
 //!
 //! ```
 //! use fairsw_core::{run_fleet, EngineBuilder, SlidingWindowClustering};
 //! use fairsw_metric::{Colored, Euclidean, EuclidPoint};
 //!
-//! // Two tenants: one knows its distance scales, one is oblivious;
-//! // each spreads its guesses over 2 worker threads.
+//! // Two tenants: one knows its distance scales, one is oblivious.
 //! let mut fleet = vec![
 //!     EngineBuilder::new()
 //!         .window_size(100)
 //!         .capacities(vec![2, 2])
 //!         .fixed(0.1, 1e3)
-//!         .threads(2)
 //!         .build(Euclidean)
 //!         .unwrap(),
 //!     EngineBuilder::new()
 //!         .window_size(100)
 //!         .capacities(vec![2, 2])
-//!         .threads(2)
 //!         .build(Euclidean)
 //!         .unwrap(),
 //! ];
@@ -84,7 +79,6 @@ use crate::compact::CompactFairSlidingWindow;
 use crate::config::{ConfigError, FairSWConfig, FairSWConfigBuilder};
 use crate::matroid_window::MatroidSlidingWindow;
 use crate::oblivious::ObliviousFairSlidingWindow;
-use crate::parallel::ParallelismSpec;
 use crate::robust::RobustFairSlidingWindow;
 use fairsw_matroid::AnyMatroid;
 use fairsw_metric::{Colored, Exactness, Metric, Projectable, Projector, ProjectorKind, Relaxed};
@@ -332,29 +326,9 @@ impl<M: Metric> WindowEngine<M> {
         }
     }
 
-    /// Spreads the engine's per-guess work over `spec` worker threads.
-    /// Parallel and sequential runs are bit-identical — guesses never
-    /// interact — so this is purely a throughput knob (see
-    /// [`crate::parallel`]).
-    pub fn with_parallelism(self, spec: ParallelismSpec) -> Self {
-        let kind = match self.kind {
-            EngineKind::Fixed(e) => EngineKind::Fixed(Box::new(e.with_parallelism(spec))),
-            EngineKind::Oblivious(e) => EngineKind::Oblivious(Box::new(e.with_parallelism(spec))),
-            EngineKind::Compact(e) => EngineKind::Compact(Box::new(e.with_parallelism(spec))),
-            EngineKind::Robust(e) => EngineKind::Robust(Box::new(e.with_parallelism(spec))),
-            EngineKind::Matroid(e) => EngineKind::Matroid(Box::new(e.with_parallelism(spec))),
-        };
-        WindowEngine { kind, ..self }
-    }
-
-    /// The effective worker-thread count (1 when sequential).
-    pub fn threads(&self) -> usize {
-        dispatch!(&self.kind, e => e.threads())
-    }
-
     /// Drops all streamed state and rebuilds the empty structures from
-    /// the retained configuration — same variant, same guess lattice,
-    /// same worker pool. Much cheaper than reconstructing through
+    /// the retained configuration — same variant, same guess lattice.
+    /// Much cheaper than reconstructing through
     /// [`EngineBuilder`]; this is the tenant delete-and-recreate reuse
     /// path of serving layers. A configured projection keeps its spec
     /// but drops the materialized matrix — the next stream's first
@@ -407,9 +381,7 @@ where
     /// Reconstructs an engine from a snapshot produced by
     /// [`snapshot`](Self::snapshot): the variant is read from the
     /// snapshot's magic, and a carried projection is rematerialized from
-    /// its seed, bit-identical to the original. The restored engine
-    /// starts sequential; re-apply
-    /// [`with_parallelism`](Self::with_parallelism) to restore a pool.
+    /// its seed, bit-identical to the original.
     pub fn restore(metric: M, bytes: &[u8]) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::{
             SnapshotError, COMPACT_MAGIC, FIXED_MAGIC, MATROID_MAGIC, OBLIVIOUS_MAGIC, ROBUST_MAGIC,
@@ -490,11 +462,10 @@ where
 /// concurrently (one scoped thread per engine), then queries each —
 /// the multi-tenant serving shape: many windows, one arrival stream.
 ///
-/// Engines may themselves be parallel ([`EngineBuilder::threads`]); the
-/// fleet axis and the per-engine guess axis compose because pool jobs
-/// are leaf closures that never block on other jobs. Results are
-/// returned in engine order and are identical to driving each engine
-/// alone.
+/// This is how an application puts more cores to work: each engine runs
+/// sequentially, so the fleet spreads over as many threads as it has
+/// engines. Results are returned in engine order and are identical to
+/// driving each engine alone.
 pub fn run_fleet<M>(
     engines: &mut [WindowEngine<M>],
     batch: &[Colored<M::Point>],
@@ -537,8 +508,8 @@ where
     where
         I: IntoIterator<Item = Colored<M::Point>>,
     {
-        // Forward to the variant's batched path (one pool dispatch per
-        // batch) instead of the trait's insert-by-insert default.
+        // Forward to the variant's batched path instead of the trait's
+        // insert-by-insert default.
         let WindowEngine { kind, proj } = self;
         match proj {
             Some(proj) => {
@@ -584,7 +555,6 @@ where
 pub struct EngineBuilder {
     cfg: FairSWConfigBuilder,
     spec: Option<VariantSpec>,
-    par: ParallelismSpec,
     exactness: Exactness,
     compact_mirror: bool,
     project: Option<(usize, u64, bool)>,
@@ -633,22 +603,6 @@ impl EngineBuilder {
     /// Selects the variant to construct.
     pub fn variant(mut self, spec: VariantSpec) -> Self {
         self.spec = Some(spec);
-        self
-    }
-
-    /// Spreads per-guess work over `n` worker threads (`0`/`1` =
-    /// sequential). The default consults the `FAIRSW_THREADS`
-    /// environment variable. Parallel and sequential engines produce
-    /// bit-identical answers — this is purely a throughput knob; see the
-    /// module docs for guidance on choosing a count.
-    pub fn threads(self, n: usize) -> Self {
-        self.parallelism(ParallelismSpec::Threads(n))
-    }
-
-    /// Sets the full [`ParallelismSpec`] (explicit, sequential, or
-    /// environment-driven).
-    pub fn parallelism(mut self, spec: ParallelismSpec) -> Self {
-        self.par = spec;
         self
     }
 
@@ -751,7 +705,7 @@ impl EngineBuilder {
             VariantSpec::Matroid { .. } => self.cfg.build_raw(),
             _ => self.cfg.build()?,
         };
-        let mut engine = WindowEngine::build(cfg, spec, metric)?.with_parallelism(self.par);
+        let mut engine = WindowEngine::build(cfg, spec, metric)?;
         if let Some((out_dim, seed, sparse)) = self.project {
             engine = engine.with_projection(out_dim, seed, sparse);
         }
@@ -955,14 +909,6 @@ mod tests {
             );
             assert_eq!(a.centers.len(), b.centers.len(), "{name}: centers");
         }
-    }
-
-    #[test]
-    fn reset_keeps_the_worker_pool() {
-        let mut e = base().fixed(0.01, 1e4).threads(2).build(Euclidean).unwrap();
-        e.insert(cp(1.0, 0));
-        e.reset();
-        assert_eq!(e.threads(), 2);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! reference — insertions `acquire`, removals `release` — and a release
 //! that drops a point's count to zero records the id in this guess's
 //! [`dead`](GuessState) scratch list, which the owning algorithm drains
-//! (on its thread, after any parallel dispatch) to reclaim payloads the
+//! once every guess has seen the arrival, to reclaim payloads the
 //! moment no guess needs them.
 
 use crate::guess_set::DeadList;
@@ -87,8 +87,8 @@ pub struct GuessState {
     /// Coreset `R`: union of the `repsC` sets plus orphans.
     pub(crate) r: BTreeMap<u64, CoresetEntry>,
     /// Arena ids whose refcount this guess observed crossing zero —
-    /// drained by the owner's reclaim pass after each (possibly
-    /// parallel) dispatch. Never observable between arrivals.
+    /// drained by the owner's reclaim pass after each arrival. Never
+    /// observable between arrivals.
     pub(crate) dead: DeadList,
     /// Revision counter: bumps whenever a family mutates (`update`
     /// always inserts; `expire` bumps only when it removed something).

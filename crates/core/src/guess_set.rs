@@ -21,9 +21,8 @@
 //! and batched insert paths of every variant:
 //!
 //! 1. intern the arriving point(s) ([`PointStore::insert`]);
-//! 2. dispatch per-guess `expire` + `update` (possibly on worker
-//!    threads) — guesses acquire/release arena references and record
-//!    zero-crossings in their scratch lists;
+//! 2. run per-guess `expire` + `update` — guesses acquire/release arena
+//!    references and record zero-crossings in their scratch lists;
 //! 3. [`GuessSet::finish_arrival`]: drain the scratch lists and free
 //!    dead payloads, then run the window-expiry epoch sweep.
 //!
@@ -137,9 +136,31 @@ impl<G: GuessSlot, P> GuessSet<G, P> {
     }
 }
 
+/// Replays one batch over every guess: guess `g` sees arrival `j` of
+/// the batch at time `t0 + 1 + j`, with the expiry threshold for a
+/// window of length `window`. Returns the post-batch clock. Guesses
+/// never read each other's state, so each one evolves exactly as under
+/// repeated single inserts — the shared scaffolding behind every
+/// `insert_batch` of the fixed, compact, robust and matroid variants.
+pub(crate) fn replay_batch<G, P>(
+    guesses: &mut [G],
+    batch: &[P],
+    t0: u64,
+    window: u64,
+    f: impl Fn(&mut G, u64, Option<u64>, &P),
+) -> u64 {
+    for g in guesses {
+        for (j, p) in batch.iter().enumerate() {
+            let t = t0 + 1 + j as u64;
+            f(g, t, t.checked_sub(window), p);
+        }
+    }
+    t0 + batch.len() as u64
+}
+
 /// Drains every guess's dead-id scratch and frees the payloads whose
-/// refcount is (still) zero. Owner-side: must run after any parallel
-/// dispatch has quiesced.
+/// refcount is (still) zero. Runs after every guess has seen the
+/// arrival.
 pub(crate) fn reclaim_dead<'a, G, P>(
     store: &mut PointStore<P>,
     guesses: impl Iterator<Item = &'a mut G>,

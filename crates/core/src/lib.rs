@@ -57,14 +57,10 @@
 //! `.matroid(..)` for hierarchical constraints — construction is
 //! fallible ([`ConfigError`]), never panicking on bad parameters.
 //!
-//! Per-guess state is independent across guesses, so
-//! `EngineBuilder::threads(n)` spreads inserts and queries over `n`
-//! worker threads with **bit-identical** answers — a pure throughput
-//! knob. Prefer `insert_batch` when parallel (one pool dispatch per
-//! batch), keep `n` at or below the materialized guess count, and see
-//! the [`parallel`] module (and the README's "Choosing a thread count")
-//! for the full guidance; [`run_fleet`] drives heterogeneous engine
-//! fleets concurrently for multi-tenant serving.
+//! Each engine runs its per-guess loops on the calling thread. To use
+//! more cores, run more engines at once: [`run_fleet`] drives a fleet
+//! concurrently, one scoped thread per engine, and a serving layer
+//! shards its tenants across threads (see the README's "Parallelism").
 //!
 //! ## Memory model
 //!
@@ -80,6 +76,8 @@
 //! solution-assembly time, so a [`Solution`] still owns its points. See
 //! the README's "Memory model" section for the full story.
 
+#![forbid(unsafe_code)]
+
 pub mod algorithm;
 pub mod api;
 pub mod compact;
@@ -90,7 +88,6 @@ mod guess_set;
 pub mod matroid_window;
 mod memo;
 pub mod oblivious;
-pub mod parallel;
 pub mod robust;
 pub mod snapshot;
 
@@ -106,6 +103,16 @@ pub use engine::{
 };
 pub use matroid_window::MatroidSlidingWindow;
 pub use oblivious::ObliviousFairSlidingWindow;
-pub use parallel::{ParallelismSpec, WorkerPool};
 pub use robust::RobustFairSlidingWindow;
 pub use snapshot::{PointCodec, SnapshotError};
+
+/// Compatibility shim: engines always run sequentially, and this enum
+/// has no other variant. It stays only because the benchmark under
+/// `perfbench/` still names `ParallelismSpec::Sequential` in its call to
+/// `fairsw_serve::wal::build_tenant`; the next change to the benchmark
+/// drops that argument, and this type with it.
+#[derive(Clone, Copy, Debug)]
+pub enum ParallelismSpec {
+    /// Sequential execution on the calling thread.
+    Sequential,
+}

@@ -31,9 +31,8 @@ use crate::algorithm::QueryScratch;
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
 use crate::config::{validate_scale, ConfigError};
 use crate::guess::CoresetEntry;
-use crate::guess_set::{DeadList, GuessSet, GuessSlot};
+use crate::guess_set::{replay_batch, DeadList, GuessSet, GuessSlot};
 use crate::memo::{prefix_for, QueryMemo};
-use crate::parallel::{Exec, ParallelismSpec};
 use fairsw_matroid::{Matroid, OverColors};
 use fairsw_metric::{packing_scan, Colored, ColoredId, Metric, PointId, Resolver};
 use fairsw_sequential::matroid_center_ids;
@@ -389,7 +388,6 @@ pub struct MatroidSlidingWindow<M: Metric, Mat: Matroid<u32>> {
     pub(crate) k: usize,
     pub(crate) set: GuessSet<MatroidGuess, M::Point>,
     pub(crate) t: u64,
-    pub(crate) exec: Exec,
     pub(crate) scratch: QueryScratch<M::Point>,
     pub(crate) memo: QueryMemo<M::Point>,
 }
@@ -437,7 +435,6 @@ impl<M: Metric, Mat: Matroid<u32>> MatroidSlidingWindow<M, Mat> {
             k,
             set: GuessSet::new(guesses),
             t: 0,
-            exec: Exec::default(),
             scratch: QueryScratch::default(),
             memo: QueryMemo::default(),
         })
@@ -448,22 +445,9 @@ impl<M: Metric, Mat: Matroid<u32>> MatroidSlidingWindow<M, Mat> {
         self.k
     }
 
-    /// Spreads per-guess work over `spec` worker threads (bit-identical
-    /// to sequential execution; see [`crate::parallel`]).
-    pub fn with_parallelism(mut self, spec: ParallelismSpec) -> Self {
-        self.exec = Exec::new(spec);
-        self
-    }
-
-    /// The effective worker-thread count (1 when sequential).
-    pub fn threads(&self) -> usize {
-        self.exec.threads()
-    }
-
     /// Drops every streamed point and rebuilds empty structures from the
-    /// retained configuration (same guess lattice, same matroid, same
-    /// worker pool) — the delete-and-recreate reuse path of serving
-    /// layers.
+    /// retained configuration (same guess lattice, same matroid) — the
+    /// delete-and-recreate reuse path of serving layers.
     pub fn reset(&mut self) {
         let gammas: Vec<f64> = self.set.guesses.iter().map(|g| g.gamma).collect();
         self.set = GuessSet::new(gammas.into_iter().map(MatroidGuess::new).collect());
@@ -478,9 +462,8 @@ where
     M::Point: Send + Sync,
     Mat: Matroid<u32> + Sync,
 {
-    /// Handles one arrival (interned once, fanned out per guess when a
-    /// pool is set; the matroid oracle is shared read-only across
-    /// workers).
+    /// Handles one arrival (interned once, then Update on every guess;
+    /// the matroid oracle is shared read-only).
     fn insert(&mut self, p: Colored<M::Point>) {
         self.t += 1;
         let t = self.t;
@@ -490,18 +473,17 @@ where
         let matroid = &self.matroid;
         let (k, delta) = (self.k, self.delta);
         let res = self.set.store.resolver();
-        self.exec.for_each_mut(&mut self.set.guesses, |g| {
+        for g in &mut self.set.guesses {
             if let Some(te) = te {
                 g.expire(res, te);
             }
             g.update(metric, res, t, id, p.color, matroid, k, delta);
-        });
+        }
         self.set.finish_arrival(te);
     }
 
     /// Batch arrivals: the batch is interned up front and each guess
-    /// replays it locally (one pool dispatch per batch; identical
-    /// evolution to repeated insert).
+    /// replays it locally (identical evolution to repeated insert).
     fn insert_batch<I>(&mut self, batch: I)
     where
         I: IntoIterator<Item = Colored<M::Point>>,
@@ -519,14 +501,12 @@ where
         let matroid = &self.matroid;
         let (k, delta) = (self.k, self.delta);
         let res = self.set.store.resolver();
-        self.t = self
-            .exec
-            .replay_batch(&mut self.set.guesses, &ids, self.t, n, |g, t, te, cid| {
-                if let Some(te) = te {
-                    g.expire(res, te);
-                }
-                g.update(metric, res, t, cid.point, cid.color, matroid, k, delta);
-            });
+        self.t = replay_batch(&mut self.set.guesses, &ids, self.t, n, |g, t, te, cid| {
+            if let Some(te) = te {
+                g.expire(res, te);
+            }
+            g.update(metric, res, t, cid.point, cid.color, matroid, k, delta);
+        });
         self.set.finish_arrival(self.t.checked_sub(n));
     }
 
@@ -551,43 +531,45 @@ where
         let skip = self.memo.skip_count(pairs.iter().copied());
         let res = self.set.store.resolver();
         let result = self
-            .exec
-            .find_map_first_pooled(&self.scratch, &self.set.guesses[skip..], |g, s| {
-                if g.av.len() > self.k {
-                    return None;
-                }
-                // Batched 2γ-packing over RV (k = rank).
-                s.view.gather_ids(&self.metric, res, g.rv.values().copied());
-                packing_scan(
-                    &self.metric,
-                    &s.view,
-                    2.0 * g.gamma,
-                    self.k,
-                    &mut s.dist,
-                    &mut s.min_dist,
-                    &mut s.packed,
-                )?;
-                let ids: Vec<PointId> = g.r.values().map(|e| e.id).collect();
-                let colors: Vec<u32> = g.r.values().map(|e| e.color).collect();
-                let idx_matroid = OverColors::new(&colors, &self.matroid);
-                Some(
-                    matroid_center_ids(&self.metric, res, &ids, &idx_matroid)
-                        .map_err(QueryError::Solver)
-                        .map(|sol| {
-                            let centers = sol
-                                .centers
-                                .iter()
-                                .map(|&i| Colored::new(res.get(ids[i]).clone(), colors[i]))
-                                .collect();
-                            Solution {
-                                centers,
-                                guess: g.gamma,
-                                coreset_size: ids.len(),
-                                coreset_radius: sol.radius,
-                                extras: SolutionExtras::None,
-                            }
-                        }),
-                )
+            .scratch
+            .with(|s| {
+                self.set.guesses[skip..].iter().find_map(|g| {
+                    if g.av.len() > self.k {
+                        return None;
+                    }
+                    // Batched 2γ-packing over RV (k = rank).
+                    s.view.gather_ids(&self.metric, res, g.rv.values().copied());
+                    packing_scan(
+                        &self.metric,
+                        &s.view,
+                        2.0 * g.gamma,
+                        self.k,
+                        &mut s.dist,
+                        &mut s.min_dist,
+                        &mut s.packed,
+                    )?;
+                    let ids: Vec<PointId> = g.r.values().map(|e| e.id).collect();
+                    let colors: Vec<u32> = g.r.values().map(|e| e.color).collect();
+                    let idx_matroid = OverColors::new(&colors, &self.matroid);
+                    Some(
+                        matroid_center_ids(&self.metric, res, &ids, &idx_matroid)
+                            .map_err(QueryError::Solver)
+                            .map(|sol| {
+                                let centers = sol
+                                    .centers
+                                    .iter()
+                                    .map(|&i| Colored::new(res.get(ids[i]).clone(), colors[i]))
+                                    .collect();
+                                Solution {
+                                    centers,
+                                    guess: g.gamma,
+                                    coreset_size: ids.len(),
+                                    coreset_radius: sol.radius,
+                                    extras: SolutionExtras::None,
+                                }
+                            }),
+                    )
+                })
             })
             .unwrap_or(Err(QueryError::NoValidGuess));
         self.memo

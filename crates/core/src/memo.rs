@@ -13,7 +13,7 @@
 //!   matches — their families are bit-for-bit the state already scanned.
 //!
 //! Both reuse paths return exactly the bytes the from-scratch scan would
-//! produce; the differential suite enforces this on every thread leg.
+//! produce; the differential suite enforces this.
 //! The memo is interior-mutable (queries take `&self`) behind a `Mutex`,
 //! and — like [`ScratchPool`](fairsw_metric::ScratchPool) — clones start
 //! empty: a memo is never semantic state.

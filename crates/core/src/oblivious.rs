@@ -35,7 +35,6 @@ use crate::config::{ConfigError, FairSWConfig};
 use crate::guess::{Budgets, GuessState};
 use crate::guess_set::{arena_stats, reclaim_dead};
 use crate::memo::QueryMemo;
-use crate::parallel::{Exec, ParallelismSpec};
 use fairsw_metric::{Colored, Metric, PointFootprint, PointStore};
 use fairsw_sequential::{FairCenterSolver, Jones};
 use fairsw_stream::{DiameterEstimator, Lattice, WindowedMinLattice};
@@ -67,7 +66,6 @@ pub struct ObliviousFairSlidingWindow<M: Metric> {
     /// estimate, and the fallback for degenerate all-coincident windows.
     pub(crate) last: Option<Colored<M::Point>>,
     pub(crate) t: u64,
-    pub(crate) exec: Exec,
     pub(crate) scratch: QueryScratch<M::Point>,
     /// Same-`t` result memo only: the guess set is dynamic (levels are
     /// materialized and retired between arrivals), so no cross-arrival
@@ -102,31 +100,15 @@ impl<M: Metric> ObliviousFairSlidingWindow<M> {
             store: PointStore::new(),
             last: None,
             t: 0,
-            exec: Exec::default(),
             scratch: QueryScratch::default(),
             memo: QueryMemo::default(),
         })
     }
 
-    /// Spreads per-guess work over `spec` worker threads. Guess
-    /// materialization and retirement (the range adjustment) stay on the
-    /// calling thread — they mutate the guess *set* — so the pool only
-    /// ever sees a frozen set of independent per-guess states, which is
-    /// what keeps parallel runs bit-identical to sequential ones.
-    pub fn with_parallelism(mut self, spec: ParallelismSpec) -> Self {
-        self.exec = Exec::new(spec);
-        self
-    }
-
-    /// The effective worker-thread count (1 when sequential).
-    pub fn threads(&self) -> usize {
-        self.exec.threads()
-    }
-
     /// Drops every streamed point, all materialized guesses and both
     /// scale estimators, rebuilding the empty adaptive state from the
-    /// retained configuration (worker pool kept) — the delete-and-
-    /// recreate reuse path of serving layers.
+    /// retained configuration — the delete-and-recreate reuse path of
+    /// serving layers.
     pub fn reset(&mut self) {
         let n = self.cfg.window_size as u64;
         self.guesses.clear();
@@ -255,7 +237,6 @@ impl<M: Metric> ObliviousFairSlidingWindow<M> {
                 .filter(|&(_, m)| m || !only_mature)
                 .collect();
             query_over_guesses(
-                &self.exec,
                 &self.scratch,
                 &self.metric,
                 res,
@@ -315,9 +296,8 @@ where
     M: Metric + Sync,
     M::Point: Send + Sync,
 {
-    /// Handles one arrival: scale estimation, guess-range maintenance
-    /// (pool-oblivious: it mutates the guess *set* on the calling
-    /// thread), then Update fanned out over every materialized guess.
+    /// Handles one arrival: scale estimation, guess-range maintenance,
+    /// then Update on every materialized guess.
     fn insert(&mut self, p: Colored<M::Point>) {
         self.t += 1;
         let t = self.t;
@@ -345,21 +325,14 @@ where
             delta: self.cfg.delta,
         };
         let res = self.store.resolver();
-        let update = |g: &mut BornGuess| {
+        for g in self.guesses.values_mut() {
             if let Some(te) = te {
                 g.state.expire(res, te);
             }
             g.state.update(metric, res, t, id, color, budgets);
-        };
-        if self.exec.is_sequential() {
-            // Hot path: iterate the map directly, no per-arrival Vec.
-            self.guesses.values_mut().for_each(update);
-        } else {
-            let mut live: Vec<&mut BornGuess> = self.guesses.values_mut().collect();
-            self.exec.for_each_mut(&mut live, |g| update(g));
         }
-        // Arrival epilogue: reclaim payloads released during the
-        // dispatch, then run the window-expiry epoch sweep.
+        // Arrival epilogue: reclaim payloads released by the updates,
+        // then run the window-expiry epoch sweep.
         reclaim_dead(
             &mut self.store,
             self.guesses.values_mut().map(|g| &mut g.state),

@@ -31,9 +31,8 @@ use crate::algorithm::QueryScratch;
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
 use crate::config::{validate_scale, ConfigError, FairSWConfig};
 use crate::guess::{Budgets, GuessState};
-use crate::guess_set::GuessSet;
+use crate::guess_set::{replay_batch, GuessSet};
 use crate::memo::{prefix_for, QueryMemo};
-use crate::parallel::{Exec, ParallelismSpec};
 use fairsw_metric::{packing_scan, Colored, ColoredId, Metric};
 use fairsw_sequential::RobustFair;
 use fairsw_stream::Lattice;
@@ -51,7 +50,6 @@ pub struct RobustFairSlidingWindow<M: Metric> {
     pub(crate) inflated_caps: Vec<usize>,
     pub(crate) set: GuessSet<GuessState, M::Point>,
     pub(crate) t: u64,
-    pub(crate) exec: Exec,
     pub(crate) scratch: QueryScratch<M::Point>,
     pub(crate) memo: QueryMemo<M::Point>,
 }
@@ -83,7 +81,6 @@ impl<M: Metric> RobustFairSlidingWindow<M> {
             inflated_caps,
             set: GuessSet::new(guesses),
             t: 0,
-            exec: Exec::default(),
             scratch: QueryScratch::default(),
             memo: QueryMemo::default(),
         })
@@ -94,22 +91,9 @@ impl<M: Metric> RobustFairSlidingWindow<M> {
         self.z
     }
 
-    /// Spreads per-guess work over `spec` worker threads (bit-identical
-    /// to sequential execution; see [`crate::parallel`]).
-    pub fn with_parallelism(mut self, spec: ParallelismSpec) -> Self {
-        self.exec = Exec::new(spec);
-        self
-    }
-
-    /// The effective worker-thread count (1 when sequential).
-    pub fn threads(&self) -> usize {
-        self.exec.threads()
-    }
-
     /// Drops every streamed point and rebuilds empty structures from the
-    /// retained configuration (same guess lattice, same inflated budgets,
-    /// same worker pool) — the delete-and-recreate reuse path of serving
-    /// layers.
+    /// retained configuration (same guess lattice, same inflated budgets)
+    /// — the delete-and-recreate reuse path of serving layers.
     pub fn reset(&mut self) {
         let gammas: Vec<f64> = self.set.guesses.iter().map(|g| g.gamma).collect();
         self.set = GuessSet::new(gammas.into_iter().map(GuessState::new).collect());
@@ -123,8 +107,8 @@ where
     M: Metric + Sync,
     M::Point: Send + Sync,
 {
-    /// Handles one arrival (interned once, then Update with the
-    /// robustified budgets, fanned out per guess when a pool is set).
+    /// Handles one arrival (interned once, then Update on every guess
+    /// with the robustified budgets).
     fn insert(&mut self, p: Colored<M::Point>) {
         self.t += 1;
         let t = self.t;
@@ -138,18 +122,17 @@ where
             delta: self.cfg.delta,
         };
         let res = self.set.store.resolver();
-        self.exec.for_each_mut(&mut self.set.guesses, |g| {
+        for g in &mut self.set.guesses {
             if let Some(te) = te {
                 g.expire(res, te);
             }
             g.update(metric, res, t, id, p.color, budgets);
-        });
+        }
         self.set.finish_arrival(te);
     }
 
     /// Batch arrivals: the batch is interned up front and each guess
-    /// replays it locally (one pool dispatch per batch; identical
-    /// evolution to repeated insert).
+    /// replays it locally (identical evolution to repeated insert).
     fn insert_batch<I>(&mut self, batch: I)
     where
         I: IntoIterator<Item = Colored<M::Point>>,
@@ -170,14 +153,12 @@ where
             delta: self.cfg.delta,
         };
         let res = self.set.store.resolver();
-        self.t = self
-            .exec
-            .replay_batch(&mut self.set.guesses, &ids, self.t, n, |g, t, te, cid| {
-                if let Some(te) = te {
-                    g.expire(res, te);
-                }
-                g.update(metric, res, t, cid.point, cid.color, budgets);
-            });
+        self.t = replay_batch(&mut self.set.guesses, &ids, self.t, n, |g, t, te, cid| {
+            if let Some(te) = te {
+                g.expire(res, te);
+            }
+            g.update(metric, res, t, cid.point, cid.color, budgets);
+        });
         self.set.finish_arrival(self.t.checked_sub(n));
     }
 
@@ -204,42 +185,44 @@ where
         let solver = RobustFair::new(self.z);
         let res = self.set.store.resolver();
         let result = self
-            .exec
-            .find_map_first_pooled(&self.scratch, &self.set.guesses[skip..], |g, s| {
-                if g.av_len() > k_eff {
-                    return None;
-                }
-                // Batched 2γ-packing with the robust `k+z` threshold.
-                s.view.gather_ids(&self.metric, res, g.rv_ids());
-                packing_scan(
-                    &self.metric,
-                    &s.view,
-                    2.0 * g.gamma(),
-                    k_eff,
-                    &mut s.dist,
-                    &mut s.min_dist,
-                    &mut s.packed,
-                )?;
-                let ids = g.coreset_ids();
-                Some(
-                    solver
-                        .solve_robust_ids(&self.metric, res, &ids, &self.cfg.capacities)
-                        .map_err(QueryError::Solver)
-                        .map(|sol| {
-                            let outliers = sol
-                                .outliers
-                                .iter()
-                                .map(|&i| res.colored(ids[i]).map(Clone::clone))
-                                .collect();
-                            Solution {
-                                centers: sol.centers,
-                                guess: g.gamma(),
-                                coreset_size: ids.len(),
-                                coreset_radius: sol.radius,
-                                extras: SolutionExtras::Robust { outliers },
-                            }
-                        }),
-                )
+            .scratch
+            .with(|s| {
+                self.set.guesses[skip..].iter().find_map(|g| {
+                    if g.av_len() > k_eff {
+                        return None;
+                    }
+                    // Batched 2γ-packing with the robust `k+z` threshold.
+                    s.view.gather_ids(&self.metric, res, g.rv_ids());
+                    packing_scan(
+                        &self.metric,
+                        &s.view,
+                        2.0 * g.gamma(),
+                        k_eff,
+                        &mut s.dist,
+                        &mut s.min_dist,
+                        &mut s.packed,
+                    )?;
+                    let ids = g.coreset_ids();
+                    Some(
+                        solver
+                            .solve_robust_ids(&self.metric, res, &ids, &self.cfg.capacities)
+                            .map_err(QueryError::Solver)
+                            .map(|sol| {
+                                let outliers = sol
+                                    .outliers
+                                    .iter()
+                                    .map(|&i| res.colored(ids[i]).map(Clone::clone))
+                                    .collect();
+                                Solution {
+                                    centers: sol.centers,
+                                    guess: g.gamma(),
+                                    coreset_size: ids.len(),
+                                    coreset_radius: sol.radius,
+                                    extras: SolutionExtras::Robust { outliers },
+                                }
+                            }),
+                    )
+                })
             })
             .unwrap_or(Err(QueryError::NoValidGuess));
         self.memo

@@ -772,9 +772,7 @@ where
     /// [`snapshot`](Self::snapshot). Only the metric must be re-supplied
     /// (a distance function is code, not data); everything else —
     /// configuration, arrival counter, the interned arena, every
-    /// per-guess family — comes from the buffer. Parallelism is an
-    /// execution property, not state: the restored window starts
-    /// sequential (re-apply `with_parallelism` for a pool).
+    /// per-guess family — comes from the buffer.
     pub fn restore(metric: M, bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut input = expect_magic(bytes, FIXED_MAGIC)?;
         let cfg = decode_config(&mut input)?;
@@ -793,7 +791,6 @@ where
                 store: arena.store,
             },
             t: arena.t,
-            exec: Default::default(),
             scratch: Default::default(),
             memo: Default::default(),
         })
@@ -840,7 +837,6 @@ where
                 store: arena.store,
             },
             t: arena.t,
-            exec: Default::default(),
             scratch: Default::default(),
             memo: Default::default(),
         })
@@ -880,7 +876,6 @@ where
                 store: arena.store,
             },
             t: arena.t,
-            exec: Default::default(),
             scratch: Default::default(),
             memo: Default::default(),
         })
@@ -989,7 +984,6 @@ where
             consec_min,
             last,
             t,
-            exec: Default::default(),
             scratch: Default::default(),
             memo: Default::default(),
         })
@@ -1040,7 +1034,6 @@ where
                 store: arena.store,
             },
             t: arena.t,
-            exec: Default::default(),
             scratch: Default::default(),
             memo: Default::default(),
         })
@@ -1217,12 +1210,7 @@ mod tests {
     fn samples() -> &'static [Sample] {
         static SAMPLES: std::sync::OnceLock<Vec<Sample>> = std::sync::OnceLock::new();
         SAMPLES.get_or_init(|| {
-            let base = || {
-                EngineBuilder::new()
-                    .window_size(40)
-                    .capacities(vec![2, 1])
-                    .threads(1)
-            };
+            let base = || EngineBuilder::new().window_size(40).capacities(vec![2, 1]);
             let laminar: AnyMatroid =
                 LaminarMatroid::new(vec![Group::new(vec![0], 1), Group::new(vec![0, 1], 2)])
                     .unwrap()

@@ -6,9 +6,7 @@
 //! the whole re-encoded state are compared. `Debug` output of `f64`s is
 //! the shortest round-trip form, so equal strings mean equal bits.
 
-use fairsw_core::{
-    EngineBuilder, ParallelismSpec, SlidingWindowClustering, VariantSpec, WindowEngine,
-};
+use fairsw_core::{EngineBuilder, SlidingWindowClustering, VariantSpec, WindowEngine};
 use fairsw_matroid::{Group, LaminarMatroid, PartitionMatroid};
 use fairsw_metric::{Colored, EuclidPoint, Euclidean};
 
@@ -77,12 +75,11 @@ fn variants() -> Vec<(&'static str, VariantSpec)> {
     ]
 }
 
-fn engine(spec: VariantSpec, threads: usize) -> WindowEngine<Euclidean> {
+fn engine(spec: VariantSpec) -> WindowEngine<Euclidean> {
     EngineBuilder::new()
         .window_size(60)
         .capacities(vec![2, 1])
         .variant(spec)
-        .parallelism(ParallelismSpec::Threads(threads))
         .build(Euclidean)
         .expect("valid engine")
 }
@@ -103,39 +100,35 @@ fn assert_twins(ctx: &str, a: &WindowEngine<Euclidean>, b: &WindowEngine<Euclide
 
 #[test]
 fn every_variant_restores_then_continues_like_its_twin() {
-    for threads in [1, 4] {
-        for (name, spec) in variants() {
-            let ctx = format!("{name} threads={threads}");
-            let mut twin = engine(spec.clone(), threads);
-            twin.insert_batch((0..130).map(drifting));
-            let bytes = twin.snapshot().expect("every variant snapshots");
-            let mut restored = WindowEngine::restore(Euclidean, &bytes)
-                .unwrap_or_else(|e| panic!("{ctx}: restore failed: {e}"))
-                .with_parallelism(ParallelismSpec::Threads(threads));
-            assert_eq!(restored.variant_name(), twin.variant_name(), "{ctx}");
-            assert_twins(&format!("{ctx} at restore"), &twin, &restored);
-            // Continue through expiry, cleanup and (oblivious) range
-            // changes, alternating single and batched inserts.
-            for (round, start) in (130..330).step_by(25).enumerate() {
-                let chunk: Vec<_> = (start..start + 25).map(drifting).collect();
-                if round % 2 == 0 {
-                    twin.insert_batch(chunk.iter().cloned());
-                    restored.insert_batch(chunk);
-                } else {
-                    for p in chunk {
-                        twin.insert(p.clone());
-                        restored.insert(p);
-                    }
+    for (name, spec) in variants() {
+        let mut twin = engine(spec);
+        twin.insert_batch((0..130).map(drifting));
+        let bytes = twin.snapshot().expect("every variant snapshots");
+        let mut restored = WindowEngine::restore(Euclidean, &bytes)
+            .unwrap_or_else(|e| panic!("{name}: restore failed: {e}"));
+        assert_eq!(restored.variant_name(), twin.variant_name(), "{name}");
+        assert_twins(&format!("{name} at restore"), &twin, &restored);
+        // Continue through expiry, cleanup and (oblivious) range
+        // changes, alternating single and batched inserts.
+        for (round, start) in (130..330).step_by(25).enumerate() {
+            let chunk: Vec<_> = (start..start + 25).map(drifting).collect();
+            if round % 2 == 0 {
+                twin.insert_batch(chunk.iter().cloned());
+                restored.insert_batch(chunk);
+            } else {
+                for p in chunk {
+                    twin.insert(p.clone());
+                    restored.insert(p);
                 }
-                assert_twins(&format!("{ctx} round {round}"), &twin, &restored);
             }
-            restored.check_invariants().unwrap();
-            assert_eq!(
-                restored.snapshot(),
-                twin.snapshot(),
-                "{ctx}: continued states diverged"
-            );
+            assert_twins(&format!("{name} round {round}"), &twin, &restored);
         }
+        restored.check_invariants().unwrap();
+        assert_eq!(
+            restored.snapshot(),
+            twin.snapshot(),
+            "{name}: continued states diverged"
+        );
     }
 }
 
@@ -145,8 +138,7 @@ fn fixture_engine(project: bool) -> WindowEngine<Euclidean> {
     let builder = EngineBuilder::new()
         .window_size(30)
         .capacities(vec![2, 1])
-        .fixed(0.01, 1e3)
-        .threads(1);
+        .fixed(0.01, 1e3);
     let (builder, dim) = if project {
         (builder.project(3, 0xfa15), 8)
     } else {

@@ -19,9 +19,9 @@
 //! * [`DistScratch`] bundles the view with the reusable `f64` buffers
 //!   (kernel output, running minima) a query needs, so steady-state
 //!   queries stage distances without allocating.
-//! * [`ScratchPool`] checks scratches out to worker shards and back in,
-//!   which is how the parallel query scan of `fairsw-core` gives every
-//!   shard its own reusable buffers.
+//! * [`ScratchPool`] checks scratches out and back in, which is how
+//!   concurrent `&self` queries on one `fairsw-core` engine each get
+//!   their own reusable buffers.
 //!
 //! ## Bit-identity contract
 //!
@@ -509,7 +509,7 @@ impl<P> CoresetView<P> {
     }
 }
 
-/// The reusable per-worker buffers a batched query needs: a staged
+/// The reusable buffers a batched query needs: a staged
 /// [`CoresetView`] plus the `f64` working arrays the kernel call sites
 /// share. Clearing retains capacity, so a scratch that has seen one
 /// query stages the next without allocating.
@@ -543,10 +543,11 @@ impl<P> DistScratch<P> {
     }
 }
 
-/// A check-out/check-in pool of scratches shared by the (possibly
-/// parallel) query scan: each worker shard borrows one scratch for the
-/// duration of its chunk and returns it, so buffers warm up once and are
-/// reused across guesses *and* across queries. Cloning an owner produces
+/// A check-out/check-in pool of scratches shared by an engine's
+/// queries: each query borrows one scratch for the duration of its scan
+/// and returns it, so buffers warm up once and are reused across guesses
+/// *and* across queries, while concurrent `&self` queries never share
+/// one. Cloning an owner produces
 /// a fresh empty pool — scratch contents are never semantic state.
 pub struct ScratchPool<S> {
     pool: Mutex<Vec<S>>,

@@ -31,7 +31,8 @@
 //!                      (lets scripts find an ephemeral port)
 //! ```
 //!
-//! Per-tenant engines honor `FAIRSW_THREADS` for their worker pools.
+//! Shards are the server's only parallelism: each tenant's engine runs
+//! sequentially on its shard thread, so adding tenants adds no threads.
 //! The server runs until a client sends `SHUTDOWN`.
 
 use fairsw_serve::server::{ServeConfig, Server};

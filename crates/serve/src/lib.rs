@@ -16,10 +16,11 @@
 //!   `insert_batch` throughput path by size or tick; answers are
 //!   bit-identical to per-point insertion, so buffering is invisible to
 //!   clients;
-//! * **shard ownership** — tenants are hash-sharded across worker
+//! * **shard ownership** — tenants are hash-sharded across shard
 //!   threads that own their engines outright; the hot path takes no
-//!   locks, and each engine may itself fan guesses out over a worker
-//!   pool (`FAIRSW_THREADS`);
+//!   locks, and the shards are the server's only parallelism — engines
+//!   run sequentially, so the thread count follows `--shards`, never the
+//!   tenant count;
 //! * **admission control** — per-shard queues are bounded; a full queue
 //!   answers `OVERLOADED` instead of buffering without bound;
 //! * **crash recovery** — `CHECKPOINT` spools engine snapshots; a
@@ -56,7 +57,7 @@
 //! The [`protocol`] module documents the exact frame layout; the
 //! integration suite (`tests/differential.rs`) proves every reply
 //! bit-identical to an in-process sequential engine fed the same
-//! stream, across tenants, variants, batch shapes and thread counts.
+//! stream, across tenants, variants and batch shapes.
 
 pub mod loadgen;
 pub mod net;

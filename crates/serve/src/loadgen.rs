@@ -14,6 +14,7 @@ use crate::protocol::{
     read_frame, write_frame, ErrorKind, Reply, Request, TenantConfig, WireError, WireStats,
     WireVariant,
 };
+use fairsw_datasets::rng::{seeded, SeededRng};
 use fairsw_metric::{Colored, EuclidPoint};
 use std::fmt;
 use std::io;
@@ -290,7 +291,7 @@ pub struct BurstReport {
 /// when empty) — the same [`crate::percentile`] rank the server's
 /// `STATS` percentiles use, so the two reporters agree at any sample
 /// size.
-fn percentile(sorted: &[Duration], q: f64) -> Duration {
+pub fn percentile(sorted: &[Duration], q: f64) -> Duration {
     crate::percentile::nearest_rank(sorted.len(), q).map_or(Duration::ZERO, |i| sorted[i])
 }
 
@@ -579,19 +580,10 @@ pub struct ConnReport {
     pub p99: Duration,
 }
 
-/// `splitmix64`: the tiny deterministic PRNG the sweep runs on.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Zipf-like pick over `n` tenants: weight `1/(i+1)`.
-fn zipf_pick(n: usize, rng: &mut u64) -> usize {
+pub fn zipf_pick(n: usize, rng: &mut SeededRng) -> usize {
     let h: f64 = (1..=n).map(|k| 1.0 / k as f64).sum();
-    let mut u = (splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64 * h;
+    let mut u = rng.random::<f64>() * h;
     for i in 0..n {
         u -= 1.0 / (i + 1) as f64;
         if u <= 0.0 {
@@ -627,7 +619,7 @@ fn conn_worker(
 ) -> Result<ConnOutcome, String> {
     let lo = w * connections / workers;
     let hi = (w + 1) * connections / workers;
-    let mut rng = opts.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut rng = seeded(opts.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut pool: Vec<(Client, usize)> = Vec::with_capacity(hi - lo);
     for _ in lo..hi {
         let tenant = zipf_pick(tenants, &mut rng);
@@ -642,13 +634,13 @@ fn conn_worker(
         latencies: Vec::with_capacity(my_requests),
     };
     for _ in 0..my_requests {
-        let slot = (splitmix64(&mut rng) as usize) % pool.len().max(1);
+        let slot = (rng.next_u64() as usize) % pool.len().max(1);
         let (c, tenant) = &mut pool[slot];
         let name = conn_tenant(*tenant);
-        let write = splitmix64(&mut rng).is_multiple_of(16);
+        let write = rng.next_u64().is_multiple_of(16);
         let q0 = Instant::now();
         let reply = if write {
-            let k = splitmix64(&mut rng);
+            let k = rng.next_u64();
             let x = (k % 3) as f64 * 120.0 + ((k >> 8) % 1000) as f64 * 0.004;
             let y = ((k >> 18) % 1000) as f64 * 0.004;
             c.insert(
@@ -665,7 +657,7 @@ fn conn_worker(
             Reply::Error(ErrorKind::Overloaded, _) => outcome.overloaded += 1,
             other => return Err(format!("{name}: unexpected reply {other:?}")),
         }
-        let roll = (splitmix64(&mut rng) >> 11) as f64 / (1u64 << 53) as f64;
+        let roll = rng.random::<f64>();
         if opts.churn > 0.0 && roll < opts.churn {
             let tenant = *tenant;
             pool[slot] = (

@@ -33,7 +33,7 @@
 //! Arriving points land in a per-tenant ingest buffer that flushes into
 //! the engine's batched [`insert_batch`] path when it reaches
 //! [`ServeConfig::flush_batch`] points or on the shard's idle tick, so
-//! per-frame wire overhead amortizes into one pool dispatch per batch.
+//! per-frame wire overhead amortizes into one engine call per batch.
 //! `QUERY`/`STATS`/`CHECKPOINT` flush first, so replies always reflect
 //! every acknowledged insert. Because the batched path is bit-identical
 //! to per-point insertion (the PR 2 guarantee), the flush schedule never
@@ -108,9 +108,6 @@ pub struct ServeConfig {
     /// The server is read-only (writes answer [`ErrorKind::ReadOnly`])
     /// until a `PROMOTE` request detaches it.
     pub follow: Option<String>,
-    /// Per-engine parallelism applied to every tenant (the default
-    /// honors `FAIRSW_THREADS`).
-    pub parallelism: ParallelismSpec,
     /// Reap a fully idle connection after this long without a byte
     /// from the peer (see [`crate::net`]).
     pub idle_timeout: Duration,
@@ -130,7 +127,6 @@ impl Default for ServeConfig {
             wal_dir: None,
             wal_tuning: WalTuning::default(),
             follow: None,
-            parallelism: ParallelismSpec::Auto,
             idle_timeout: NetConfig::default().idle_timeout,
             header_timeout: NetConfig::default().header_timeout,
         }
@@ -177,7 +173,7 @@ struct CacheEntry {
 /// reply is the exact encoded reply a shard produced at a version no
 /// write has moved since, cache answers are byte-identical to a
 /// from-scratch recompute — the read-heavy differential lane enforces
-/// this on every thread leg.
+/// this.
 #[derive(Default)]
 struct QueryCache {
     entries: Mutex<HashMap<String, CacheEntry>>,
@@ -267,7 +263,7 @@ fn shard_of(tenant: &str, shards: usize) -> usize {
 /// point reveals the input dimensionality.
 ///
 /// The shard projects accepted points *before* they reach
-/// [`log_accept`], so the WAL, the replication stream, the ingest
+/// [`accept_batch`], so the WAL, the replication stream, the ingest
 /// buffer, the engine, and every snapshot hold only `out_dim`-sized
 /// payloads. Followers and WAL replay therefore apply already-projected
 /// records verbatim — projection happens exactly once, on the accepting
@@ -550,7 +546,8 @@ enum ShardMsg {
 /// Tenant-scoped operations (the shard-side view of a [`Request`]).
 enum Op {
     Create(TenantConfig),
-    Insert(Colored<EuclidPoint>),
+    /// `INSERT` and `INSERT_BATCH` alike: a single point arrives as a
+    /// one-point batch, which is also how the log records it.
     InsertBatch(Vec<Colored<EuclidPoint>>),
     Query,
     Stats,
@@ -655,40 +652,7 @@ impl Shard {
     fn handle(&mut self, tenant: &str, op: Op) -> Reply {
         match op {
             Op::Create(config) => self.create(tenant, config),
-            Op::Insert(p) => match self.tenants.get_mut(tenant) {
-                Some(t) => {
-                    if let Err(reply) = t.check_colors([&p]) {
-                        return reply;
-                    }
-                    // Project before the durability step: the WAL and
-                    // every subscriber see the low-dimensional point.
-                    let mut p = [p];
-                    if let Some(proj) = &mut t.proj {
-                        if let Err(reply) = proj.apply(&mut p) {
-                            return reply;
-                        }
-                    }
-                    let [p] = p;
-                    // Log before ack: the reply leaves only after the
-                    // point is in the WAL (page cache) and on its way
-                    // to every subscriber.
-                    if let Err(reply) =
-                        log_accept(&mut self.subs, tenant, t, std::slice::from_ref(&p))
-                    {
-                        return reply;
-                    }
-                    // The router bumped the tenant's cache version when
-                    // it dispatched this write.
-                    t.buffer.push(p);
-                    t.points_total += 1;
-                    if t.buffer.len() >= self.cfg.flush_batch {
-                        t.flush();
-                    }
-                    Reply::Ok
-                }
-                None => no_such_tenant(tenant),
-            },
-            Op::InsertBatch(points) => match self.tenants.get_mut(tenant) {
+            Op::InsertBatch(mut points) => match self.tenants.get_mut(tenant) {
                 Some(t) => {
                     // All-or-nothing: a batch with any bad color is
                     // refused whole, so an error reply never leaves a
@@ -696,21 +660,19 @@ impl Shard {
                     if let Err(reply) = t.check_colors(&points) {
                         return reply;
                     }
-                    let mut points = points;
+                    // Project before the durability step: the WAL and
+                    // every subscriber see the low-dimensional points.
                     if let Some(proj) = &mut t.proj {
                         if let Err(reply) = proj.apply(&mut points) {
                             return reply;
                         }
                     }
-                    if let Err(reply) = log_accept(&mut self.subs, tenant, t, &points) {
-                        return reply;
+                    // The router bumped the tenant's cache version when
+                    // it dispatched this write.
+                    match accept_batch(&mut self.subs, tenant, t, points, self.cfg.flush_batch) {
+                        Ok(()) => Reply::Ok,
+                        Err(reply) => reply,
                     }
-                    t.points_total += points.len() as u64;
-                    t.buffer.extend(points);
-                    if t.buffer.len() >= self.cfg.flush_batch {
-                        t.flush();
-                    }
-                    Reply::Ok
                 }
                 None => no_such_tenant(tenant),
             },
@@ -810,7 +772,7 @@ impl Shard {
         let engine = match self.parked.iter().position(|(c, _)| *c == config) {
             Some(i) => self.parked.swap_remove(i).1,
             None => match config.build_engine() {
-                Ok(e) => e.with_parallelism(self.cfg.parallelism),
+                Ok(e) => e,
                 Err(e) => return Reply::Error(ErrorKind::BadRequest, e.to_string()),
             },
         };
@@ -909,7 +871,7 @@ impl Shard {
                     other => Err(format!("unexpected create reply {other:?}")),
                 }
             }
-            WalRecord::Batch { start, points } => {
+            WalRecord::Batch { start, mut points } => {
                 let Some(t) = self.tenants.get_mut(tenant) else {
                     return Err(format!("batch for unknown tenant {tenant:?}"));
                 };
@@ -922,26 +884,22 @@ impl Shard {
                 if skip >= points.len() {
                     return Ok(());
                 }
-                let suffix = &points[skip..];
-                if let Err(Reply::Error(_, msg)) = log_accept(&mut self.subs, tenant, t, suffix) {
+                points.drain(..skip);
+                if let Err(Reply::Error(_, msg)) =
+                    accept_batch(&mut self.subs, tenant, t, points, self.cfg.flush_batch)
+                {
                     return Err(msg);
                 }
-                t.points_total += suffix.len() as u64;
-                t.buffer.extend_from_slice(suffix);
                 // Replicated state moved: cached replies are stale.
                 self.cache.bump(tenant);
-                if t.buffer.len() >= self.cfg.flush_batch {
-                    t.flush();
-                }
                 Ok(())
             }
             WalRecord::Snapshot(bytes) => {
                 // The Create record before it (when the leader knows the
                 // config) names the metric the snapshot restores under.
                 let config = self.tenants.get(tenant).and_then(|t| t.config.clone());
-                let (engine, proj) =
-                    restore_snapshot(&bytes, config.as_ref(), self.cfg.parallelism)
-                        .map_err(|e| format!("bootstrap snapshot: {e}"))?;
+                let (engine, proj) = restore_snapshot(&bytes, config.as_ref())
+                    .map_err(|e| format!("bootstrap snapshot: {e}"))?;
                 let mut fresh = Tenant::new(engine, config).with_projection(proj);
                 fresh.points_total = fresh.engine.time();
                 // Persist our own recovery point: the snapshot (already
@@ -1030,32 +988,40 @@ fn encode_record(record: &WalRecord) -> Vec<u8> {
     body
 }
 
-/// The accept-path durability step, shared by leader ingest and
-/// follower apply: encode the batch at the tenant's current stream
-/// position, append it to the WAL (ack only after), and fan it out to
-/// every live subscriber. Subscribers that are gone or too slow are
-/// dropped — replication must never block or fail the hot path.
+/// The accept path shared by leader ingest and follower apply. The
+/// durability step comes first: encode the batch at the tenant's
+/// current stream position, append it to the WAL (ack only after), and
+/// fan it out to every live subscriber. Subscribers that are gone or
+/// too slow are dropped — replication must never block or fail the hot
+/// path. Then the points advance the stream position, join the ingest
+/// buffer, and a full buffer flushes into the engine.
 #[allow(clippy::result_large_err)] // Err is the wire `Reply`; cold path
-fn log_accept(
+fn accept_batch(
     subs: &mut Vec<Subscriber>,
     name: &str,
     t: &mut Tenant,
-    points: &[Colored<EuclidPoint>],
+    points: Vec<Colored<EuclidPoint>>,
+    flush_batch: usize,
 ) -> Result<(), Reply> {
-    if t.wal.is_none() && subs.is_empty() {
-        return Ok(());
+    if t.wal.is_some() || !subs.is_empty() {
+        let body = encode_batch_body(t.points_total, &points).map_err(|e| {
+            Reply::Error(
+                ErrorKind::BadRequest,
+                format!("batch too large for the log: {e}"),
+            )
+        })?;
+        if let Some(wal) = &mut t.wal {
+            wal.append(&body).map_err(|e| {
+                Reply::Error(ErrorKind::Unsupported, format!("wal append failed: {e}"))
+            })?;
+        }
+        push_record(subs, name, &body);
     }
-    let body = encode_batch_body(t.points_total, points).map_err(|e| {
-        Reply::Error(
-            ErrorKind::BadRequest,
-            format!("batch too large for the log: {e}"),
-        )
-    })?;
-    if let Some(wal) = &mut t.wal {
-        wal.append(&body)
-            .map_err(|e| Reply::Error(ErrorKind::Unsupported, format!("wal append failed: {e}")))?;
+    t.points_total += points.len() as u64;
+    t.buffer.extend(points);
+    if t.buffer.len() >= flush_batch {
+        t.flush();
     }
-    push_record(subs, name, &body);
     Ok(())
 }
 
@@ -1155,7 +1121,7 @@ fn replay_tenant(cfg: &ServeConfig, name: &str) -> Result<Tenant, String> {
             (create.into_iter().collect(), None)
         }
     };
-    let replayed = build_tenant(snapshot.as_deref(), &records, cfg.parallelism)?;
+    let replayed = build_tenant(snapshot.as_deref(), &records, ParallelismSpec::Sequential)?;
     let wal = reopen
         .map(|(dir, cut)| TenantWal::reopen(&dir, cfg.wal_tuning, cut))
         .transpose()
@@ -1586,7 +1552,7 @@ impl Router {
                 }
                 (Op::Create(config), tenant)
             }
-            Request::Insert { tenant, point } => (Op::Insert(point), tenant),
+            Request::Insert { tenant, point } => (Op::InsertBatch(vec![point]), tenant),
             Request::InsertBatch { tenant, points } => (Op::InsertBatch(points), tenant),
             Request::Query { tenant } => {
                 // A repeat query at an unchanged tenant version is
@@ -1611,10 +1577,7 @@ impl Router {
             Request::Checkpoint { tenant } => (Op::Checkpoint, tenant),
             Request::Delete { tenant } => (Op::Delete, tenant),
         };
-        if matches!(
-            op,
-            Op::Create(_) | Op::Insert(_) | Op::InsertBatch(_) | Op::Delete
-        ) {
+        if matches!(op, Op::Create(_) | Op::InsertBatch(_) | Op::Delete) {
             self.cache.bump(&tenant);
         }
         self.dispatch(tenant, op, None)

@@ -87,12 +87,11 @@ fn spool_decode(bytes: &[u8]) -> Result<(Option<WireProjection>, &[u8]), String>
 pub(crate) fn restore_snapshot(
     bytes: &[u8],
     config: Option<&TenantConfig>,
-    parallelism: ParallelismSpec,
 ) -> Result<(WindowEngine<Relaxed<Euclidean>>, Option<WireProjection>), String> {
     let (proj, payload) = spool_decode(bytes)?;
     let metric = config.map_or_else(|| Relaxed::exact(Euclidean), TenantConfig::metric);
     let engine = WindowEngine::restore(metric, payload).map_err(|e| e.to_string())?;
-    Ok((engine.with_parallelism(parallelism), proj))
+    Ok((engine, proj))
 }
 
 /// Reads a tenant's whole log: every record up to the first damaged
@@ -141,10 +140,15 @@ pub struct ReplayedTenant {
 /// Returns an error (never panics) when the log is unusable — no
 /// snapshot and no `Create` record, a batch before either, or a
 /// snapshot that does not decode.
+///
+/// The third argument is ignored: engines always run sequentially. It
+/// stays only because the benchmark under `perfbench/` still passes
+/// `ParallelismSpec::Sequential`; the next change to the benchmark
+/// drops it from that call, and then from this signature.
 pub fn build_tenant(
     snapshot: Option<&[u8]>,
     records: &[WalRecord],
-    parallelism: ParallelismSpec,
+    _parallelism: ParallelismSpec,
 ) -> Result<ReplayedTenant, String> {
     let mut config = records
         .iter()
@@ -156,18 +160,14 @@ pub fn build_tenant(
     let mut engine = None;
     let mut projection = None;
     if let Some(bytes) = snapshot {
-        let (e, p) = restore_snapshot(bytes, config.as_ref(), parallelism)?;
+        let (e, p) = restore_snapshot(bytes, config.as_ref())?;
         (engine, projection) = (Some(e), p);
     }
     for rec in records {
         match rec {
             WalRecord::Create(c) => {
                 if engine.is_none() {
-                    engine = Some(
-                        c.build_engine()
-                            .map(|e| e.with_parallelism(parallelism))
-                            .map_err(|e| e.to_string())?,
-                    );
+                    engine = Some(c.build_engine().map_err(|e| e.to_string())?);
                 }
                 config = Some(c.clone());
             }
@@ -181,7 +181,7 @@ pub fn build_tenant(
                 }
             }
             WalRecord::Snapshot(bytes) => {
-                let (e, p) = restore_snapshot(bytes, config.as_ref(), parallelism)?;
+                let (e, p) = restore_snapshot(bytes, config.as_ref())?;
                 (engine, projection) = (Some(e), p);
             }
             WalRecord::Delete => {

@@ -8,12 +8,10 @@
 //! extras. The suite covers all five variants, single and batched
 //! ingest (with batch boundaries that do not align with the server's
 //! flush threshold), several tenants concurrently across shard threads,
-//! engine-side parallelism (the tenants honor `FAIRSW_THREADS`, so the
-//! CI matrix drives 1- and 4-thread pools through this file), and the
-//! crash-recovery path: kill after `CHECKPOINT`, restart from the
-//! spool, resume bit-identically.
+//! and the crash-recovery path: kill after `CHECKPOINT`, restart from
+//! the spool, resume bit-identically.
 
-use fairsw_core::{ParallelismSpec, SlidingWindowClustering, WindowEngine};
+use fairsw_core::{SlidingWindowClustering, WindowEngine};
 use fairsw_metric::{Colored, EuclidPoint, Euclidean, Exactness, Relaxed};
 use fairsw_serve::loadgen::Client;
 use fairsw_serve::protocol::{ErrorKind, Reply, TenantConfig, WireStats, WireVariant};
@@ -48,7 +46,6 @@ fn serve_config() -> ServeConfig {
         queue_depth: 64,
         tick: Duration::from_millis(5),
         spool_dir: None,
-        parallelism: ParallelismSpec::Auto, // honors FAIRSW_THREADS
         ..ServeConfig::default()
     }
 }
@@ -201,10 +198,7 @@ fn variants() -> Vec<(&'static str, TenantConfig)> {
 /// and the two must still agree bit-for-bit (same seed, same matrix,
 /// same kernel).
 fn oracle_for(config: &TenantConfig) -> WindowEngine<Relaxed<Euclidean>> {
-    let engine = config
-        .build_engine()
-        .expect("valid oracle config")
-        .with_parallelism(ParallelismSpec::Sequential);
+    let engine = config.build_engine().expect("valid oracle config");
     match config.projection {
         Some(p) => engine.with_projection(p.out_dim, p.seed, p.sparse),
         None => engine,
@@ -656,6 +650,59 @@ fn delete_then_recreate_reuses_a_reset_engine_exactly() {
     handle.shutdown();
 }
 
+/// The `Threads:` count of a live process.
+#[cfg(target_os = "linux")]
+fn os_threads(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read proc status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("a Threads: line")
+}
+
+/// Threads scale with shards, never with tenants: creating, feeding and
+/// querying 64 tenants, then deleting them (which parks up to 8 reset
+/// engines per shard), leaves the server's thread count where it
+/// started. `FAIRSW_THREADS` is set to show that no engine reads it.
+#[cfg(target_os = "linux")]
+#[test]
+fn server_threads_stay_flat_across_tenant_churn() {
+    let dir = scratch_dir("threads");
+    let (mut child, addr) = spawn_served(&dir, &[], &[("FAIRSW_THREADS", "4")]);
+    let at_start = os_threads(child.id());
+    let mut client = Client::connect(addr).expect("connect");
+    let configs = variants();
+    let points = stream();
+    for i in 0..64 {
+        let tenant = format!("churn-{i}");
+        let (_, config) = &configs[i % configs.len()];
+        assert_eq!(client.create(&tenant, config).unwrap(), Reply::Ok);
+        assert_eq!(
+            client.insert_batch(&tenant, &points[..20]).unwrap(),
+            Reply::Ok
+        );
+        assert_eq!(client.insert(&tenant, &points[20]).unwrap(), Reply::Ok);
+        match client.query(&tenant).unwrap() {
+            Reply::Solution(_) => {}
+            other => panic!("{tenant}: unexpected reply {other:?}"),
+        }
+    }
+    let with_tenants = os_threads(child.id());
+    for i in 0..64 {
+        assert_eq!(client.delete(&format!("churn-{i}")).unwrap(), Reply::Ok);
+    }
+    let after_delete = os_threads(child.id());
+    child.kill().expect("kill fairsw-served");
+    child.wait().expect("reap fairsw-served");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        (with_tenants, after_delete),
+        (at_start, at_start),
+        "threads at start, with 64 tenants, after deleting them"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Durability lanes: kill -9 mid-ingest, restart from the WAL; kill the
 // leader, promote a hot standby. Both enforce the durable-prefix
@@ -670,7 +717,11 @@ const COMPACT_BYTES: u64 = 2048;
 
 /// Spawns a real `fairsw-served` subprocess (the thing we can
 /// `SIGKILL`) on an ephemeral port and waits for its bound address.
-fn spawn_served(dir: &Path, extra: &[String]) -> (std::process::Child, std::net::SocketAddr) {
+fn spawn_served(
+    dir: &Path,
+    extra: &[String],
+    envs: &[(&str, &str)],
+) -> (std::process::Child, std::net::SocketAddr) {
     std::fs::create_dir_all(dir).expect("create served dir");
     let port_file = dir.join("addr.port");
     let _ = std::fs::remove_file(&port_file);
@@ -680,6 +731,7 @@ fn spawn_served(dir: &Path, extra: &[String]) -> (std::process::Child, std::net:
         .arg("--port-file")
         .arg(&port_file)
         .args(extra)
+        .envs(envs.iter().copied())
         .stdout(std::process::Stdio::null())
         .spawn()
         .expect("spawn fairsw-served");
@@ -819,7 +871,7 @@ fn verify_recovered_tenant(
 fn wal_kill_nine_mid_ingest_loses_at_most_one_unsynced_batch() {
     const BATCH: usize = 7; // misaligned with the flush threshold of 16
     let dir = scratch_dir("wal-kill");
-    let (child, addr) = spawn_served(&dir, &wal_args(&dir));
+    let (child, addr) = spawn_served(&dir, &wal_args(&dir), &[]);
     let tenants = wal_tenants();
     let len = tenants[0].2.len();
 
@@ -1018,7 +1070,7 @@ fn failover_lane(
 fn leader_kill_follower_promote_resumes_bit_identically() {
     let dir = scratch_dir("failover");
     let (mut leader, leader_addr) =
-        spawn_served(&dir.join("leader"), &wal_args(&dir.join("leader")));
+        spawn_served(&dir.join("leader"), &wal_args(&dir.join("leader")), &[]);
     failover_lane(leader_addr, &dir, 0, move || {
         leader.kill().expect("SIGKILL leader");
         leader.wait().expect("reap leader");

@@ -69,23 +69,19 @@ fn main() {
          worth of data streamed past — that is the paper's headline property."
     );
 
-    // Parallel bonus round: the same engine with its per-guess work
-    // spread over 2 worker threads (`.threads(2)` on the builder, or the
-    // FAIRSW_THREADS env var). Answers are bit-identical at any thread
-    // count — see README "Choosing a thread count" — and run_fleet
-    // drives many windows concurrently for multi-tenant serving.
+    // Fleet bonus round: each engine runs sequentially, and run_fleet
+    // drives many windows concurrently (one thread per engine) — the
+    // multi-tenant serving shape; see README "Parallelism".
     let mut fleet = vec![
         EngineBuilder::new()
             .window_size(5_000)
             .capacities(vec![2, 2])
             .fixed(0.01, 400.0)
-            .threads(2)
             .build(Euclidean)
             .expect("valid configuration"),
         EngineBuilder::new()
             .window_size(1_000) // a second tenant with a shorter memory
             .capacities(vec![1, 1])
-            .threads(2)
             .build(Euclidean)
             .expect("valid configuration"),
     ];
@@ -103,9 +99,8 @@ fn main() {
     for (engine, result) in fleet.iter().zip(results) {
         let sol = result.expect("fleet windows are non-empty");
         println!(
-            "fleet tenant (window {:>5}, {} threads): {} centers at guess {:.3}",
+            "fleet tenant (window {:>5}): {} centers at guess {:.3}",
             engine.window_size(),
-            engine.threads(),
             sol.centers.len(),
             sol.guess,
         );

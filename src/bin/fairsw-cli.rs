@@ -25,9 +25,6 @@
 //!   --oblivious         estimate distance scales on the fly
 //!   --compact           Corollary 2 variant (dimension-free space)
 //!   --robust Z          tolerate Z outliers per window
-//!   --threads N         spread per-guess work over N worker threads
-//!                       (default: FAIRSW_THREADS env var, else 1);
-//!                       answers are bit-identical at any thread count
 //!   --approx EPS        allow the runtime-dispatched SIMD kernels
 //!                       (answers stay within the paper's (1+ε) radius
 //!                       envelope; default: exact scalar kernels).
@@ -56,9 +53,7 @@
 //! [`WindowEngine`] facade — the streaming loop below contains no
 //! per-variant code.
 
-use fairsw::core::{
-    ParallelismSpec, SlidingWindowClustering, SolutionExtras, VariantSpec, WindowEngine,
-};
+use fairsw::core::{SlidingWindowClustering, SolutionExtras, VariantSpec, WindowEngine};
 use fairsw::datasets::read_csv_points;
 use fairsw::metric::{
     sampled_extremes, Angular, Chebyshev, Colored, EuclidPoint, Euclidean, Exactness, Manhattan,
@@ -116,7 +111,6 @@ struct Args {
     oblivious: bool,
     compact: bool,
     robust: Option<usize>,
-    threads: Option<usize>,
     approx: Option<f64>,
     compact_mirror: bool,
     project: Option<usize>,
@@ -144,7 +138,6 @@ fn parse_args() -> Result<Args, String> {
         oblivious: false,
         compact: false,
         robust: None,
-        threads: None,
         approx: None,
         compact_mirror: false,
         project: None,
@@ -203,13 +196,6 @@ fn parse_args() -> Result<Args, String> {
                     value("--robust")?
                         .parse()
                         .map_err(|e| format!("--robust: {e}"))?,
-                )
-            }
-            "--threads" => {
-                args.threads = Some(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
                 )
             }
             "--approx" => {
@@ -271,8 +257,6 @@ OPTIONS:
   --oblivious      estimate distance scales on the fly
   --compact        Corollary 2 variant (dimension-free space)
   --robust Z       tolerate Z outliers per window
-  --threads N      per-guess worker threads (default: FAIRSW_THREADS,
-                   else sequential); answers are bit-identical
   --approx EPS     allow SIMD kernels (answers stay inside the (1+ε)
                    radius envelope; default: exact scalar kernels);
                    the ISA is picked at startup, override with
@@ -424,10 +408,6 @@ fn drive<M>(
 where
     M: Metric<Point = EuclidPoint> + Sync,
 {
-    let par = match args.threads {
-        Some(n) => ParallelismSpec::Threads(n),
-        None => ParallelismSpec::Auto, // honors FAIRSW_THREADS
-    };
     let mut engine = match &args.snapshot_in {
         Some(path) => {
             // Resume: the snapshot carries the full configuration, so
@@ -448,8 +428,7 @@ where
             }
             let bytes = std::fs::read(path).map_err(|e| format!("reading {path:?}: {e}"))?;
             let engine = WindowEngine::restore(metric, &bytes)
-                .map_err(|e| format!("restoring {path:?}: {e}"))?
-                .with_parallelism(par);
+                .map_err(|e| format!("restoring {path:?}: {e}"))?;
             // Snapshots carry no metric identifier: the guess
             // lattice and coresets inside were computed under whatever
             // metric wrote them, so resuming under a different one
@@ -499,8 +478,7 @@ where
                 None => variant_for(&metric, args, points)?,
             };
             let engine = WindowEngine::build(cfg, spec, metric)
-                .map_err(|e| format!("configuration: {e}"))?
-                .with_parallelism(par);
+                .map_err(|e| format!("configuration: {e}"))?;
             match args.project {
                 Some(out_dim) => {
                     engine.with_projection(out_dim, args.project_seed, args.project_sparse)
@@ -510,11 +488,9 @@ where
         }
     };
     eprintln!(
-        "variant: {} / {} metric ({} thread{})",
+        "variant: {} / {} metric",
         engine.variant_name(),
         args.metric.name(),
-        engine.threads(),
-        if engine.threads() == 1 { "" } else { "s" }
     );
     if let Some(proj) = engine.projection() {
         eprintln!(
@@ -569,12 +545,9 @@ where
     }
     let elapsed = t0.elapsed();
     eprintln!(
-        "processed {} points, {queries} queries in {elapsed:.2?} \
-         ({:.0} points/s on {} thread{})",
+        "processed {} points, {queries} queries in {elapsed:.2?} ({:.0} points/s)",
         points.len(),
         points.len() as f64 / elapsed.as_secs_f64().max(1e-9),
-        engine.threads(),
-        if engine.threads() == 1 { "" } else { "s" }
     );
     Ok(())
 }

@@ -68,9 +68,9 @@ pub use fairsw_stream as stream;
 pub mod prelude {
     pub use fairsw_core::{
         run_fleet, CompactFairSlidingWindow, EngineBuilder, FairSWConfig, FairSlidingWindow,
-        GuessMemory, MatroidSlidingWindow, MemoryStats, ObliviousFairSlidingWindow,
-        ParallelismSpec, QueryError, RobustFairSlidingWindow, SlidingWindowClustering, Solution,
-        SolutionExtras, VariantSpec, WindowEngine,
+        GuessMemory, MatroidSlidingWindow, MemoryStats, ObliviousFairSlidingWindow, QueryError,
+        RobustFairSlidingWindow, SlidingWindowClustering, Solution, SolutionExtras, VariantSpec,
+        WindowEngine,
     };
     pub use fairsw_matroid::{AnyMatroid, Group, LaminarMatroid, Matroid, PartitionMatroid};
     pub use fairsw_metric::{

@@ -12,11 +12,10 @@
 //!    fill/slide/drift scenario matrix; per-guess families, memory
 //!    counts and query answers must agree to the bit at every
 //!    checkpoint.
-//! 2. **Thread-count differentials.** All five variants at threads 1 vs
-//!    4 (per-point and batched lanes) — the PR 2 harness pattern —
-//!    additionally comparing the new arena accounting
-//!    (`unique_points`, `payload_bytes`), which must be deterministic
-//!    under the parallel release/reclaim protocol.
+//! 2. **Ingest-path differentials.** All five variants fed per point and
+//!    in batches, comparing the arena accounting (`unique_points`,
+//!    `payload_bytes`): a batch defers reclaim to its epilogue, yet must
+//!    end in exactly the per-point state.
 //! 3. **Byte-level memory bounds.** The acceptance criterion of the
 //!    refactor: resident payloads are `O(Σ coreset sizes)` — never more
 //!    payloads than handle entries, bounded by the window, and a
@@ -365,19 +364,18 @@ fn interned_matches_owned_point_oracle_on_drift() {
 }
 
 // ======================================================================
-// 2. Thread-count differentials over the arena accounting: the
-//    release/record/reclaim protocol must be deterministic under any
-//    thread count, per-point or batched.
+// 2. Ingest-path differentials over the arena accounting: the
+//    release/record/reclaim protocol must end in the same state whether
+//    points arrive one at a time or in batches.
 // ======================================================================
 
-fn variants(threads: usize) -> Vec<(&'static str, WindowEngine<Euclidean>)> {
+fn variants() -> Vec<(&'static str, WindowEngine<Euclidean>)> {
     let base = || {
         EngineBuilder::new()
             .window_size(WINDOW)
             .capacities(CAPS.to_vec())
             .beta(2.0)
             .delta(1.0)
-            .threads(threads)
     };
     vec![
         (
@@ -421,48 +419,30 @@ fn assert_arena_agrees(ctx: &str, a: &MemoryStats, b: &MemoryStats) {
 }
 
 #[test]
-fn arena_accounting_is_identical_across_thread_counts() {
-    for (scenario, stream) in scenarios() {
-        let mut pairs: Vec<_> = variants(1)
-            .into_iter()
-            .zip(variants(4))
-            .map(|((name, seq), (_, par))| (name, seq, par))
-            .collect();
-        for p in &stream {
-            for (name, seq, par) in &mut pairs {
-                seq.insert(p.clone());
-                par.insert(p.clone());
-                let _ = name;
-            }
-        }
-        for (name, seq, par) in &pairs {
-            let ctx = format!("{name}/{scenario}/per-point");
-            assert_arena_agrees(&ctx, &seq.memory_stats(), &par.memory_stats());
-        }
-    }
-}
-
-#[test]
 fn arena_accounting_is_identical_for_batched_inserts() {
     for (scenario, stream) in scenarios() {
-        let mut pairs: Vec<_> = variants(1)
+        let mut pairs: Vec<_> = variants()
             .into_iter()
-            .zip(variants(4))
-            .map(|((name, seq), (_, par))| (name, seq, par))
+            .zip(variants())
+            .map(|((name, single), (_, batched))| (name, single, batched))
             .collect();
-        for chunk in stream.chunks(17) {
-            for (_, seq, par) in &mut pairs {
-                seq.insert_batch(chunk.iter().cloned());
-                par.insert_batch(chunk.iter().cloned());
+        for p in &stream {
+            for (_, single, _) in &mut pairs {
+                single.insert(p.clone());
             }
         }
-        for (name, seq, par) in &pairs {
+        for chunk in stream.chunks(17) {
+            for (_, _, batched) in &mut pairs {
+                batched.insert_batch(chunk.iter().cloned());
+            }
+        }
+        for (name, single, batched) in &pairs {
             let ctx = format!("{name}/{scenario}/batched");
-            assert_arena_agrees(&ctx, &seq.memory_stats(), &par.memory_stats());
+            assert_arena_agrees(&ctx, &single.memory_stats(), &batched.memory_stats());
             // Batched and per-point lanes both drain the dead lists
             // fully: nothing may still be pending.
             assert!(
-                seq.memory_stats().unique_points <= seq.stored_points().max(1),
+                batched.memory_stats().unique_points <= batched.stored_points().max(1),
                 "{ctx}: arena holds more payloads than entries reference"
             );
         }

@@ -1,16 +1,14 @@
-//! Differential-testing harness for the parallel execution layer.
+//! Differential-testing harness for the two ways of feeding engines:
+//! batched ingest and concurrent fleets.
 //!
-//! The per-guess states of every variant are mutually independent, so a
-//! parallel run must be **bit-identical** to a sequential one — not
-//! "close", identical: same winning guess, same centers, same radius
-//! bits, same extras, same per-guess memory accounting. This suite
-//! enforces that for all five variants across the fill/slide/drift
-//! scenario matrix, for both per-point `insert` and batched
-//! `insert_batch`, with queries compared at several checkpoints
-//! mid-stream (not just at the end). A final battery checks that
-//! [`run_fleet`] answers exactly like driving each engine alone.
-//!
-//! Thread counts under test: 1 (sequential, the reference) vs 4.
+//! The per-guess states of every variant are mutually independent, so
+//! replaying a batch guess by guess must be **bit-identical** to
+//! inserting its points one at a time — not "close", identical: same
+//! winning guess, same centers, same radius bits, same extras, same
+//! per-guess memory accounting. This suite enforces that for all five
+//! variants across the fill/slide/drift scenario matrix. A final
+//! battery checks that [`run_fleet`], which drives one engine per
+//! thread, answers exactly like driving each engine alone.
 
 use fairsw::prelude::*;
 
@@ -18,17 +16,15 @@ const WINDOW: usize = 48;
 const CAPS: [usize; 2] = [2, 1];
 const DMIN: f64 = 1e-4;
 const DMAX: f64 = 1e4;
-const THREADS: usize = 4;
 
-/// Builds every variant at a given thread count.
-fn variants(threads: usize) -> Vec<(&'static str, WindowEngine<Euclidean>)> {
+/// Builds every variant.
+fn variants() -> Vec<(&'static str, WindowEngine<Euclidean>)> {
     let base = || {
         EngineBuilder::new()
             .window_size(WINDOW)
             .capacities(CAPS.to_vec())
             .beta(2.0)
             .delta(1.0)
-            .threads(threads)
     };
     vec![
         (
@@ -97,7 +93,7 @@ fn scenarios() -> Vec<(&'static str, Vec<Colored<EuclidPoint>>)> {
         })
         .collect();
     // Drift: coarse scale, then everything collapses to a fine scale —
-    // exercises the oblivious variant's guess spawn/retire under a pool.
+    // exercises the oblivious variant's guess spawn/retire.
     let drift: Vec<_> = (0..2 * n)
         .map(|i| {
             let base = (i % 3) as f64 * 800.0;
@@ -214,11 +210,11 @@ fn assert_memory_identical(ctx: &str, a: &MemoryStats, b: &MemoryStats) {
 }
 
 /// Compares the two engines' full observable state.
-fn assert_engines_agree(ctx: &str, seq: &WindowEngine<Euclidean>, par: &WindowEngine<Euclidean>) {
-    assert_eq!(seq.time(), par.time(), "{ctx}: arrival counter");
-    assert_eq!(seq.stored_points(), par.stored_points(), "{ctx}: memory");
-    assert_memory_identical(ctx, &seq.memory_stats(), &par.memory_stats());
-    match (seq.query(), par.query()) {
+fn assert_engines_agree(ctx: &str, a: &WindowEngine<Euclidean>, b: &WindowEngine<Euclidean>) {
+    assert_eq!(a.time(), b.time(), "{ctx}: arrival counter");
+    assert_eq!(a.stored_points(), b.stored_points(), "{ctx}: memory");
+    assert_memory_identical(ctx, &a.memory_stats(), &b.memory_stats());
+    match (a.query(), b.query()) {
         (Ok(a), Ok(b)) => assert_solutions_identical(ctx, &a, &b),
         (Err(ea), Err(eb)) => assert_eq!(
             format!("{ea}"),
@@ -230,46 +226,21 @@ fn assert_engines_agree(ctx: &str, seq: &WindowEngine<Euclidean>, par: &WindowEn
 }
 
 #[test]
-fn per_point_inserts_are_bit_identical_across_thread_counts() {
-    for (scenario, stream) in scenarios() {
-        let mut pairs: Vec<_> = variants(1)
-            .into_iter()
-            .zip(variants(THREADS))
-            .map(|((name, seq), (_, par))| (name, seq, par))
-            .collect();
-        assert!(pairs.iter().all(|(_, _, par)| par.threads() == THREADS));
-        let checkpoints = [stream.len() / 3, 2 * stream.len() / 3, stream.len()];
-        for (i, p) in stream.iter().enumerate() {
-            for (name, seq, par) in &mut pairs {
-                seq.insert(p.clone());
-                par.insert(p.clone());
-                let _ = name;
-            }
-            if checkpoints.contains(&(i + 1)) {
-                for (name, seq, par) in &pairs {
-                    let ctx = format!("{name}/{scenario} at t={}", i + 1);
-                    assert_engines_agree(&ctx, seq, par);
-                    par.check_invariants()
-                        .unwrap_or_else(|e| panic!("{ctx}: invariant violated: {e}"));
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn batched_parallel_inserts_match_sequential_per_point_inserts() {
     for (scenario, stream) in scenarios() {
-        for ((name, mut seq), (_, mut par)) in variants(1).into_iter().zip(variants(THREADS)) {
+        for ((name, mut single), (_, mut batched)) in variants().into_iter().zip(variants()) {
             for p in &stream {
-                seq.insert(p.clone());
+                single.insert(p.clone());
             }
             // Uneven batch sizes so batch boundaries cross window edges.
             for chunk in stream.chunks(WINDOW / 3 + 1) {
-                par.insert_batch(chunk.iter().cloned());
+                batched.insert_batch(chunk.iter().cloned());
             }
             let ctx = format!("{name}/{scenario} (batched)");
-            assert_engines_agree(&ctx, &seq, &par);
+            assert_engines_agree(&ctx, &single, &batched);
+            batched
+                .check_invariants()
+                .unwrap_or_else(|e| panic!("{ctx}: invariant violated: {e}"));
         }
     }
 }
@@ -277,9 +248,8 @@ fn batched_parallel_inserts_match_sequential_per_point_inserts() {
 #[test]
 fn run_fleet_matches_driving_each_engine_alone() {
     let (_, stream) = scenarios().remove(1); // slide: the longest stream
-    let mut alone: Vec<WindowEngine<Euclidean>> = variants(1).into_iter().map(|(_, e)| e).collect();
-    let mut fleet: Vec<WindowEngine<Euclidean>> =
-        variants(THREADS).into_iter().map(|(_, e)| e).collect();
+    let mut alone: Vec<WindowEngine<Euclidean>> = variants().into_iter().map(|(_, e)| e).collect();
+    let mut fleet: Vec<WindowEngine<Euclidean>> = variants().into_iter().map(|(_, e)| e).collect();
 
     let solo: Vec<_> = alone
         .iter_mut()
@@ -304,24 +274,22 @@ fn run_fleet_matches_driving_each_engine_alone() {
 #[test]
 fn explicit_solver_queries_agree_too() {
     // query_with (explicit Jones) through the concrete types: the
-    // parallel scan must pick the same guess as the sequential one.
+    // batched engine must pick the same guess as the per-point one.
     let cfg = FairSWConfig::builder()
         .window_size(WINDOW)
         .capacities(CAPS.to_vec())
         .build()
         .expect("valid");
-    let mut seq = FairSlidingWindow::new(cfg.clone(), Euclidean, DMIN, DMAX).expect("valid");
-    let mut par = FairSlidingWindow::new(cfg, Euclidean, DMIN, DMAX)
-        .expect("valid")
-        .with_parallelism(ParallelismSpec::Threads(THREADS));
+    let mut single = FairSlidingWindow::new(cfg.clone(), Euclidean, DMIN, DMAX).expect("valid");
+    let mut batched = FairSlidingWindow::new(cfg, Euclidean, DMIN, DMAX).expect("valid");
     for (_, stream) in scenarios() {
-        for p in stream {
-            seq.insert(p.clone());
-            par.insert(p);
+        for p in &stream {
+            single.insert(p.clone());
         }
+        batched.insert_batch(stream);
         let (a, b) = (
-            seq.query_with(&Jones).expect("answer"),
-            par.query_with(&Jones).expect("answer"),
+            single.query_with(&Jones).expect("answer"),
+            batched.query_with(&Jones).expect("answer"),
         );
         assert_solutions_identical("fixed/query_with", &a, &b);
     }

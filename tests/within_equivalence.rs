@@ -9,8 +9,8 @@
 //!
 //! The suite streams points of 9, 17 and 54 coordinates — more than one
 //! chunk, so the early exit can fire — into all five variants under
-//! each metric, per point and in batches, at 1 and 4 threads, and
-//! compares snapshot bytes and query replies at several checkpoints.
+//! each metric, per point and in batches, and compares snapshot bytes
+//! and query replies at several checkpoints.
 //! The other differential suites stream at most 8 coordinates, where
 //! `within` never exits early, or compare two engines that both run the
 //! override; this one has an independent reference above the cutoff.
@@ -58,8 +58,8 @@ fn streams() -> Vec<Stream> {
     ]
 }
 
-/// Every variant under `metric`, at `threads` worker threads.
-fn variants<M>(metric: M, caps: &[usize], threads: usize) -> Vec<WindowEngine<M>>
+/// Every variant under `metric`.
+fn variants<M>(metric: M, caps: &[usize]) -> Vec<WindowEngine<M>>
 where
     M: Metric<Point = EuclidPoint>,
 {
@@ -69,7 +69,6 @@ where
             .capacities(caps.to_vec())
             .beta(2.0)
             .delta(1.0)
-            .threads(threads)
     };
     let partition = PartitionMatroid::new(caps.to_vec()).expect("valid caps");
     [
@@ -108,19 +107,17 @@ fn assert_same_state(
 #[test]
 fn per_point_updates_match_the_default_within() {
     for (name, stream, caps) in streams() {
-        for threads in [1, 4] {
-            let mut fast = variants(Euclidean, &caps, threads);
-            let mut reference = variants(DistOnly, &caps, threads);
-            let checkpoints = [STREAM / 3, 2 * STREAM / 3, STREAM];
-            for (i, p) in stream.iter().enumerate() {
-                for (f, r) in fast.iter_mut().zip(&mut reference) {
-                    f.insert(p.clone());
-                    r.insert(p.clone());
-                }
-                if checkpoints.contains(&(i + 1)) {
-                    for (f, r) in fast.iter().zip(&reference) {
-                        assert_same_state(&format!("{name}/{threads}t"), f, r);
-                    }
+        let mut fast = variants(Euclidean, &caps);
+        let mut reference = variants(DistOnly, &caps);
+        let checkpoints = [STREAM / 3, 2 * STREAM / 3, STREAM];
+        for (i, p) in stream.iter().enumerate() {
+            for (f, r) in fast.iter_mut().zip(&mut reference) {
+                f.insert(p.clone());
+                r.insert(p.clone());
+            }
+            if checkpoints.contains(&(i + 1)) {
+                for (f, r) in fast.iter().zip(&reference) {
+                    assert_same_state(name, f, r);
                 }
             }
         }
@@ -130,18 +127,16 @@ fn per_point_updates_match_the_default_within() {
 #[test]
 fn batched_updates_match_the_default_within() {
     for (name, stream, caps) in streams() {
-        for threads in [1, 4] {
-            let mut fast = variants(Euclidean, &caps, threads);
-            let mut reference = variants(DistOnly, &caps, threads);
-            // Uneven batch sizes so batch boundaries cross window edges.
-            for chunk in stream.chunks(WINDOW / 3 + 1) {
-                for (f, r) in fast.iter_mut().zip(&mut reference) {
-                    f.insert_batch(chunk.iter().cloned());
-                    r.insert_batch(chunk.iter().cloned());
-                }
-                for (f, r) in fast.iter().zip(&reference) {
-                    assert_same_state(&format!("{name}/{threads}t batched"), f, r);
-                }
+        let mut fast = variants(Euclidean, &caps);
+        let mut reference = variants(DistOnly, &caps);
+        // Uneven batch sizes so batch boundaries cross window edges.
+        for chunk in stream.chunks(WINDOW / 3 + 1) {
+            for (f, r) in fast.iter_mut().zip(&mut reference) {
+                f.insert_batch(chunk.iter().cloned());
+                r.insert_batch(chunk.iter().cloned());
+            }
+            for (f, r) in fast.iter().zip(&reference) {
+                assert_same_state(&format!("{name} batched"), f, r);
             }
         }
     }
