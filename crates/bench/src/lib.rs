@@ -1,11 +1,11 @@
 //! Experiment harness: the shared driver behind the per-figure binaries.
 //!
-//! Each binary in `src/bin/` regenerates one figure of the paper's
-//! evaluation (see DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results). The driver here streams
-//! a dataset through every configured algorithm, issues queries at a
-//! fixed cadence once the window has filled, and reports the paper's four
-//! metrics:
+//! Each `fig*` and `ablation_*` binary in `src/bin/` regenerates one
+//! figure or ablation of the paper's evaluation; its module docs name
+//! the figure and the shape to compare against the paper. The driver
+//! here streams a dataset through every configured algorithm, issues
+//! queries at a fixed cadence once the window has filled, and reports
+//! the paper's four metrics:
 //!
 //! * **memory** — points stored by the algorithm (baselines store the
 //!   whole window);

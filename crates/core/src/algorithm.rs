@@ -12,9 +12,9 @@
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
 use crate::config::{validate_scale, ConfigError, FairSWConfig};
 use crate::guess::{Budgets, GuessState};
-use crate::guess_set::{replay_batch, GuessSet};
-use crate::memo::{prefix_for, QueryMemo};
-use fairsw_metric::{packing_scan, Colored, ColoredId, DistScratch, Metric, Resolver, ScratchPool};
+use crate::guess_set::GuessSet;
+use crate::memo::QueryMemo;
+use fairsw_metric::{packing_scan, Colored, DistScratch, Metric, Resolver, ScratchPool};
 use fairsw_sequential::{FairCenterSolver, Jones};
 use fairsw_stream::Lattice;
 
@@ -79,8 +79,7 @@ impl<M: Metric> FairSlidingWindow<M> {
     /// through [`new`](Self::new) — the delete-and-recreate reuse path of
     /// multi-tenant serving layers.
     pub fn reset(&mut self) {
-        let gammas: Vec<f64> = self.set.guesses.iter().map(|g| g.gamma).collect();
-        self.set = GuessSet::new(gammas.into_iter().map(GuessState::new).collect());
+        self.set.reset(GuessState::new);
         self.t = 0;
         self.memo.clear();
     }
@@ -97,34 +96,18 @@ impl<M: Metric> FairSlidingWindow<M> {
         M: Sync,
         M::Point: Send + Sync,
     {
-        if self.t == 0 {
-            return Err(QueryError::EmptyWindow);
-        }
-        // Skip the leading guesses a previous scan proved non-qualifying
-        // at an identical `(γ, rev)` state — qualification is
-        // solver-independent, so the skip is sound for any `solver`.
-        let pairs: Vec<(f64, u64)> = self
-            .set
-            .guesses
-            .iter()
-            .map(|g| (g.gamma(), g.rev()))
-            .collect();
-        let skip = self.memo.skip_count(pairs.iter().copied());
-        let guesses: Vec<(&GuessState, ())> =
-            self.set.guesses[skip..].iter().map(|g| (g, ())).collect();
-        let result = query_over_guesses(
-            &self.scratch,
-            &self.metric,
-            self.set.store.resolver(),
-            &guesses,
-            self.k,
-            &self.cfg.capacities,
-            solver,
-        )
-        .map(|(sol, ())| sol);
-        self.memo
-            .record_prefix(self.t, prefix_for(pairs.iter().copied(), &result));
-        result
+        self.memo.scan(self.t, &self.set.guesses, |guesses| {
+            query_over_guesses(
+                &self.scratch,
+                &self.metric,
+                self.set.store.resolver(),
+                guesses.iter().map(|g| (g, ())),
+                self.k,
+                &self.cfg.capacities,
+                solver,
+            )
+            .map(|(sol, ())| sol)
+        })
     }
 
     /// Iterates the guesses (used by tests and diagnostics).
@@ -149,74 +132,33 @@ where
     M: Metric + Sync,
     M::Point: Send + Sync,
 {
-    /// Handles one arrival: the point is interned once, then expiry of
-    /// the outgoing point plus Update on every guess (Algorithm 1).
-    fn insert(&mut self, p: Colored<M::Point>) {
-        self.t += 1;
-        let t = self.t;
-        let te = t.checked_sub(self.cfg.window_size as u64);
-        let id = self.set.store.insert(t, p.point);
-        let metric = &self.metric;
-        let budgets = Budgets {
-            caps: &self.cfg.capacities,
-            k: self.k,
-            delta: self.cfg.delta,
-        };
-        let res = self.set.store.resolver();
-        for g in &mut self.set.guesses {
-            if let Some(te) = te {
-                g.expire(res, te);
-            }
-            g.update(metric, res, t, id, p.color, budgets);
-        }
-        self.set.finish_arrival(te);
-    }
-
-    /// Batch arrivals: the whole batch is interned up front, then each
-    /// guess replays it locally. Per-guess evolution is identical to
-    /// repeated [`insert`](SlidingWindowClustering::insert) because
-    /// guesses are mutually independent; payloads released mid-batch are
-    /// reclaimed in the epilogue, so the arena transiently holds up to
-    /// one batch of extra points.
+    /// Batch arrivals through the shared arrival protocol (the
+    /// `guess_set` module docs): the batch is interned once, then each
+    /// guess replays it in stream order — expiry of the outgoing point
+    /// plus Update (Algorithm 1) per arrival.
     fn insert_batch<I>(&mut self, batch: I)
     where
         I: IntoIterator<Item = Colored<M::Point>>,
     {
-        let n = self.cfg.window_size as u64;
-        let ids: Vec<ColoredId> = batch
-            .into_iter()
-            .enumerate()
-            .map(|(j, p)| {
-                let t = self.t + 1 + j as u64;
-                Colored::new(self.set.store.insert(t, p.point), p.color)
-            })
-            .collect();
         let metric = &self.metric;
         let budgets = Budgets {
             caps: &self.cfg.capacities,
             k: self.k,
             delta: self.cfg.delta,
         };
-        let res = self.set.store.resolver();
-        self.t = replay_batch(&mut self.set.guesses, &ids, self.t, n, |g, t, te, cid| {
+        let n = self.cfg.window_size as u64;
+        self.t = self.set.arrive(batch, self.t, n, |g, res, t, te, cid| {
             if let Some(te) = te {
                 g.expire(res, te);
             }
             g.update(metric, res, t, cid.point, cid.color, budgets);
         });
-        self.set.finish_arrival(self.t.checked_sub(n));
     }
 
     /// `Query` with the paper's default solver, memoized: repeat queries
-    /// at an unchanged engine time return the recorded result (inserts
-    /// are the only mutation, so equal `t` means equal state).
+    /// at an unchanged engine time return the recorded result.
     fn query(&self) -> Result<Solution<M::Point>, QueryError> {
-        if let Some(hit) = self.memo.cached(self.t) {
-            return hit;
-        }
-        let result = self.query_with(&Jones);
-        self.memo.record_result(self.t, &result);
-        result
+        self.memo.query(self.t, || self.query_with(&Jones))
     }
 
     fn time(&self) -> u64 {
@@ -271,11 +213,11 @@ where
 /// Payload copies are materialized only inside the solver's id-slice
 /// entry point, at solution-assembly time.
 #[allow(clippy::too_many_arguments)] // internal; mirrors the query's parameter list
-pub(crate) fn query_over_guesses<M, S, T>(
+pub(crate) fn query_over_guesses<'g, M, S, T>(
     scratch: &QueryScratch<M::Point>,
     metric: &M,
     res: Resolver<'_, M::Point>,
-    guesses: &[(&GuessState, T)],
+    guesses: impl IntoIterator<Item = (&'g GuessState, T)>,
     k: usize,
     caps: &[usize],
     solver: &S,
@@ -288,7 +230,7 @@ where
 {
     scratch
         .with(|s| {
-            guesses.iter().find_map(|&(g, tag)| {
+            guesses.into_iter().find_map(|(g, tag)| {
                 if g.av_len() > k {
                     return None; // invalid guess: γ is a lower bound on OPT
                 }

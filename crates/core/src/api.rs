@@ -6,7 +6,7 @@
 //! module states that contract once — the [`SlidingWindowClustering`]
 //! trait — together with the common [`Solution`] answer type and the
 //! uniform [`MemoryStats`] accounting, so that callers (the CLI, the
-//! experiment harness, the examples, future sharding layers) can drive
+//! experiment harness, the examples, the serving layer) can drive
 //! any variant through one polymorphic surface. The five implementors:
 //!
 //! * [`FairSlidingWindow`](crate::FairSlidingWindow) — "Ours";
@@ -245,9 +245,27 @@ impl MemoryStats {
 /// }
 /// ```
 pub trait SlidingWindowClustering<M: Metric> {
-    /// Handles one arrival (expiry of the outgoing point plus `Update`
-    /// on every guess — Algorithm 1).
-    fn insert(&mut self, p: Colored<M::Point>);
+    /// Handles a batch of arrivals in stream order: per arrival, expiry
+    /// of the outgoing point plus `Update` on every guess (Algorithm 1).
+    /// This is the one arrival path — [`insert`](Self::insert) is a
+    /// one-point batch. The fixed, compact, robust and matroid variants
+    /// replay a batch guess by guess in stream order, which gives the
+    /// same state as one-point batches because guesses never read each
+    /// other's state; the oblivious variant, whose guess range moves
+    /// between arrivals, runs a batch one arrival at a time.
+    fn insert_batch<I>(&mut self, batch: I)
+    where
+        I: IntoIterator<Item = Colored<M::Point>>,
+        Self: Sized;
+
+    /// Handles one arrival: a one-point
+    /// [`insert_batch`](Self::insert_batch).
+    fn insert(&mut self, p: Colored<M::Point>)
+    where
+        Self: Sized,
+    {
+        self.insert_batch(std::iter::once(p));
+    }
 
     /// Answers for the current window (`Query` — Algorithm 3): selects
     /// the best certified guess and runs the variant's sequential solver
@@ -267,18 +285,6 @@ pub trait SlidingWindowClustering<M: Metric> {
     /// Verifies the variant's structural invariants (test/diagnostic
     /// helper); returns a description of the first violation found.
     fn check_invariants(&self) -> Result<(), String>;
-
-    /// Handles a batch of arrivals, observationally equal to repeated
-    /// [`insert`](Self::insert) in stream order.
-    fn insert_batch<I>(&mut self, batch: I)
-    where
-        I: IntoIterator<Item = Colored<M::Point>>,
-        Self: Sized,
-    {
-        for p in batch {
-            self.insert(p);
-        }
-    }
 
     /// Total stored points (the paper's memory metric). The default
     /// derives it from [`memory_stats`](Self::memory_stats); implementors

@@ -23,8 +23,8 @@ use crate::algorithm::QueryScratch;
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
 use crate::config::{validate_scale, ConfigError, FairSWConfig};
 use crate::guess::CoresetEntry;
-use crate::guess_set::{replay_batch, DeadList, GuessSet, GuessSlot};
-use crate::memo::{prefix_for, QueryMemo};
+use crate::guess_set::{DeadList, GuessSet, GuessSlot};
+use crate::memo::QueryMemo;
 use fairsw_metric::{packing_scan, Colored, ColoredId, Metric, PointId, Resolver};
 use fairsw_sequential::{FairCenterSolver, Jones};
 use fairsw_stream::Lattice;
@@ -288,8 +288,7 @@ impl<M: Metric> CompactFairSlidingWindow<M> {
     /// retained configuration (same guess lattice) — the
     /// delete-and-recreate reuse path of serving layers.
     pub fn reset(&mut self) {
-        let gammas: Vec<f64> = self.set.guesses.iter().map(|g| g.gamma).collect();
-        self.set = GuessSet::new(gammas.into_iter().map(CompactGuess::new).collect());
+        self.set.reset(CompactGuess::new);
         self.t = 0;
         self.memo.clear();
     }
@@ -305,58 +304,44 @@ impl<M: Metric> CompactFairSlidingWindow<M> {
         M: Sync,
         M::Point: Send + Sync,
     {
-        if self.t == 0 {
-            return Err(QueryError::EmptyWindow);
-        }
-        // Skip leading guesses a previous scan proved non-qualifying at
-        // an identical `(γ, rev)` state (solver-independent test).
-        let pairs: Vec<(f64, u64)> = self
-            .set
-            .guesses
-            .iter()
-            .map(|g| (GuessSlot::gamma(g), GuessSlot::rev(g)))
-            .collect();
-        let skip = self.memo.skip_count(pairs.iter().copied());
         let res = self.set.store.resolver();
-        let result = self
-            .scratch
-            .with(|s| {
-                self.set.guesses[skip..].iter().find_map(|g| {
-                    if g.av.len() > self.k {
-                        return None;
-                    }
-                    // The packing never reads colors: gather handles only.
-                    s.view
-                        .gather_ids(&self.metric, res, g.rv.values().map(|e| e.id));
-                    packing_scan(
-                        &self.metric,
-                        &s.view,
-                        2.0 * g.gamma,
-                        self.k,
-                        &mut s.dist,
-                        &mut s.min_dist,
-                        &mut s.packed,
-                    )?;
-                    let ids: Vec<ColoredId> =
-                        g.rv.values().map(|e| Colored::new(e.id, e.color)).collect();
-                    Some(
-                        solver
-                            .solve_ids(&self.metric, res, &ids, &self.cfg.capacities)
-                            .map_err(QueryError::from)
-                            .map(|sol| Solution {
-                                centers: sol.centers,
-                                guess: g.gamma,
-                                coreset_size: ids.len(),
-                                coreset_radius: sol.radius,
-                                extras: SolutionExtras::None,
-                            }),
-                    )
+        self.memo.scan(self.t, &self.set.guesses, |guesses| {
+            self.scratch
+                .with(|s| {
+                    guesses.iter().find_map(|g| {
+                        if g.av.len() > self.k {
+                            return None;
+                        }
+                        // The packing never reads colors: gather handles only.
+                        s.view
+                            .gather_ids(&self.metric, res, g.rv.values().map(|e| e.id));
+                        packing_scan(
+                            &self.metric,
+                            &s.view,
+                            2.0 * g.gamma,
+                            self.k,
+                            &mut s.dist,
+                            &mut s.min_dist,
+                            &mut s.packed,
+                        )?;
+                        let ids: Vec<ColoredId> =
+                            g.rv.values().map(|e| Colored::new(e.id, e.color)).collect();
+                        Some(
+                            solver
+                                .solve_ids(&self.metric, res, &ids, &self.cfg.capacities)
+                                .map_err(QueryError::from)
+                                .map(|sol| Solution {
+                                    centers: sol.centers,
+                                    guess: g.gamma,
+                                    coreset_size: ids.len(),
+                                    coreset_radius: sol.radius,
+                                    extras: SolutionExtras::None,
+                                }),
+                        )
+                    })
                 })
-            })
-            .unwrap_or(Err(QueryError::NoValidGuess));
-        self.memo
-            .record_prefix(self.t, prefix_for(pairs.iter().copied(), &result));
-        result
+                .unwrap_or(Err(QueryError::NoValidGuess))
+        })
     }
 }
 
@@ -365,62 +350,28 @@ where
     M: Metric + Sync,
     M::Point: Send + Sync,
 {
-    /// Handles one arrival (interned once, then Update on every guess).
-    fn insert(&mut self, p: Colored<M::Point>) {
-        self.t += 1;
-        let t = self.t;
-        let te = t.checked_sub(self.cfg.window_size as u64);
-        let id = self.set.store.insert(t, p.point);
-        let metric = &self.metric;
-        let caps = &self.cfg.capacities;
-        let k = self.k;
-        let res = self.set.store.resolver();
-        for g in &mut self.set.guesses {
-            if let Some(te) = te {
-                g.expire(res, te);
-            }
-            g.update(metric, res, t, id, p.color, caps, k);
-        }
-        self.set.finish_arrival(te);
-    }
-
-    /// Batch arrivals: the batch is interned up front and each guess
-    /// replays it locally (identical evolution to repeated insert).
+    /// Batch arrivals through the shared arrival protocol: the batch is
+    /// interned once, then each guess replays it in stream order.
     fn insert_batch<I>(&mut self, batch: I)
     where
         I: IntoIterator<Item = Colored<M::Point>>,
     {
-        let n = self.cfg.window_size as u64;
-        let ids: Vec<ColoredId> = batch
-            .into_iter()
-            .enumerate()
-            .map(|(j, p)| {
-                let t = self.t + 1 + j as u64;
-                Colored::new(self.set.store.insert(t, p.point), p.color)
-            })
-            .collect();
         let metric = &self.metric;
         let caps = &self.cfg.capacities;
         let k = self.k;
-        let res = self.set.store.resolver();
-        self.t = replay_batch(&mut self.set.guesses, &ids, self.t, n, |g, t, te, cid| {
+        let n = self.cfg.window_size as u64;
+        self.t = self.set.arrive(batch, self.t, n, |g, res, t, te, cid| {
             if let Some(te) = te {
                 g.expire(res, te);
             }
             g.update(metric, res, t, cid.point, cid.color, caps, k);
         });
-        self.set.finish_arrival(self.t.checked_sub(n));
     }
 
     /// Query with the default solver, memoized on the engine time
     /// (repeat queries at unchanged `t` return the recorded result).
     fn query(&self) -> Result<Solution<M::Point>, QueryError> {
-        if let Some(hit) = self.memo.cached(self.t) {
-            return hit;
-        }
-        let result = self.query_with(&Jones);
-        self.memo.record_result(self.t, &result);
-        result
+        self.memo.query(self.t, || self.query_with(&Jones))
     }
 
     fn time(&self) -> u64 {

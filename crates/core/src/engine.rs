@@ -7,9 +7,9 @@
 //! (scale bounds, outlier budget, matroid constraint), and
 //! [`WindowEngine::build`] constructs the corresponding algorithm from a
 //! shared [`FairSWConfig`]. Because `WindowEngine` itself implements the
-//! trait, heterogeneous fleets — e.g. `Vec<WindowEngine<M>>` feeding a
-//! future sharding or multi-tenant serving layer — drive every variant
-//! through identical code:
+//! trait, heterogeneous fleets — e.g. `Vec<WindowEngine<M>>`, or the
+//! tenants of the `fairsw-serve` multi-tenant service — drive every
+//! variant through identical code:
 //!
 //! ```
 //! use fairsw_core::{EngineBuilder, SlidingWindowClustering, VariantSpec, WindowEngine};
@@ -496,20 +496,12 @@ where
     M: Metric + Sync,
     M::Point: Projectable + Send + Sync,
 {
-    fn insert(&mut self, p: Colored<M::Point>) {
-        let p = match &mut self.proj {
-            Some(proj) => proj.apply(p),
-            None => p,
-        };
-        dispatch!(&mut self.kind, e => e.insert(p))
-    }
-
+    /// Projects the batch (when a projection is configured) on its way
+    /// into the variant's batched path.
     fn insert_batch<I>(&mut self, batch: I)
     where
         I: IntoIterator<Item = Colored<M::Point>>,
     {
-        // Forward to the variant's batched path instead of the trait's
-        // insert-by-insert default.
         let WindowEngine { kind, proj } = self;
         match proj {
             Some(proj) => {

@@ -10,28 +10,33 @@
 //!   entry count, its dead-id scratch) for the shared helpers to work;
 //! * [`GuessSet`] — the `Vec`-of-guesses + arena pair used by the fixed,
 //!   compact, robust and matroid variants, with the uniform
-//!   `memory_stats` / `stored_points` / arrival-epilogue implementations;
+//!   `memory_stats` / `stored_points` / arrival / `reset`
+//!   implementations;
 //! * [`reclaim_dead`] / [`arena_stats`] — the same helpers over an
 //!   arbitrary guess iterator, for the oblivious variant whose guesses
 //!   live in a level-keyed map.
 //!
 //! ## The arrival protocol
 //!
-//! Each arrival follows one owner-side sequence, shared by the single
-//! and batched insert paths of every variant:
+//! Arrivals come in batches: a single `insert` is a one-point batch.
+//! [`GuessSet::arrive`] runs the one owner-side sequence for a batch:
 //!
-//! 1. intern the arriving point(s) ([`PointStore::insert`]);
-//! 2. run per-guess `expire` + `update` — guesses acquire/release arena
-//!    references and record zero-crossings in their scratch lists;
-//! 3. [`GuessSet::finish_arrival`]: drain the scratch lists and free
-//!    dead payloads, then run the window-expiry epoch sweep.
+//! 1. intern the batch's points ([`PointStore::insert`]);
+//! 2. replay the batch guess by guess in stream order: each guess runs
+//!    `expire` + `update` for every arrival before the next guess starts
+//!    — guesses acquire/release arena references and record
+//!    zero-crossings in their scratch lists;
+//! 3. drain the scratch lists and free dead payloads, then run the
+//!    window-expiry epoch sweep.
 //!
-//! Step 3 is what keeps resident payloads at `O(Σ coreset sizes)`: a
-//! point evicted from every guess is reclaimed on the arrival that
+//! Guesses never read each other's state, so every guess evolves
+//! exactly as under one-point batches, whatever the batch split. Step 3
+//! is what keeps resident payloads at `O(Σ coreset sizes)`: a point
+//! evicted from every guess is reclaimed at the end of the batch that
 //! evicted it, long before it would leave the window.
 
 use crate::api::MemoryStats;
-use fairsw_metric::{PointFootprint, PointId, PointStore, Resolver};
+use fairsw_metric::{Colored, ColoredId, PointFootprint, PointId, PointStore, Resolver};
 
 /// The record-on-zero-crossing scratch every per-guess state carries:
 /// releasing an arena reference through it records ids whose count
@@ -91,7 +96,7 @@ impl GuessSlot for crate::guess::GuessState {
 /// A variant's guesses plus the arena they intern into. The fixed,
 /// compact, robust and matroid variants embed one of these; the shared
 /// trait-impl plumbing (`memory_stats`, `stored_points`, the arrival
-/// epilogue) lives here instead of being repeated per variant.
+/// protocol, `reset`) lives here instead of being repeated per variant.
 #[derive(Clone, Debug)]
 pub(crate) struct GuessSet<G, P> {
     /// Per-guess states in ascending-γ order.
@@ -126,36 +131,55 @@ impl<G: GuessSlot, P> GuessSet<G, P> {
         self.guesses.iter().map(G::entries).sum()
     }
 
-    /// The owner-side arrival epilogue: reclaim payloads the guesses
-    /// released during the dispatch, then sweep the expired epoch.
-    pub fn finish_arrival(&mut self, te: Option<u64>) {
+    /// Drops every guess's state and the arena, keeping the guesses'
+    /// `γ` values: `fresh(γ)` builds each empty guess.
+    pub fn reset(&mut self, fresh: impl Fn(f64) -> G) {
+        for g in &mut self.guesses {
+            *g = fresh(g.gamma());
+        }
+        self.store = PointStore::new();
+    }
+
+    /// Runs the arrival protocol (module docs) for one batch: arrival
+    /// `j` of the batch gets time `t0 + 1 + j`, and `step(g, res, t, te,
+    /// id)` runs the variant's expire (when `te` is `Some`) and Update
+    /// of guess `g` for the arrival `id` at time `t`, where `te` is the
+    /// expiry threshold for a window of length `window`. Returns the
+    /// post-batch clock. Payloads released mid-batch are reclaimed at
+    /// the end, so the arena transiently holds up to one batch of extra
+    /// points.
+    pub fn arrive(
+        &mut self,
+        batch: impl IntoIterator<Item = Colored<P>>,
+        t0: u64,
+        window: u64,
+        step: impl Fn(&mut G, Resolver<'_, P>, u64, Option<u64>, ColoredId),
+    ) -> u64 {
+        let ids: Vec<ColoredId> = batch
+            .into_iter()
+            .enumerate()
+            .map(|(j, p)| Colored::new(self.store.insert(t0 + 1 + j as u64, p.point), p.color))
+            .collect();
+        let res = self.store.resolver();
+        for g in &mut self.guesses {
+            for (j, &id) in ids.iter().enumerate() {
+                let t = t0 + 1 + j as u64;
+                step(g, res, t, t.checked_sub(window), id);
+            }
+        }
+        let t = t0 + ids.len() as u64;
+        self.finish_arrival(t.checked_sub(window));
+        t
+    }
+
+    /// The arrival epilogue: reclaim payloads the guesses released
+    /// during the replay, then sweep the expired epoch.
+    fn finish_arrival(&mut self, te: Option<u64>) {
         reclaim_dead(&mut self.store, self.guesses.iter_mut());
         if let Some(te) = te {
             self.store.expire(te);
         }
     }
-}
-
-/// Replays one batch over every guess: guess `g` sees arrival `j` of
-/// the batch at time `t0 + 1 + j`, with the expiry threshold for a
-/// window of length `window`. Returns the post-batch clock. Guesses
-/// never read each other's state, so each one evolves exactly as under
-/// repeated single inserts — the shared scaffolding behind every
-/// `insert_batch` of the fixed, compact, robust and matroid variants.
-pub(crate) fn replay_batch<G, P>(
-    guesses: &mut [G],
-    batch: &[P],
-    t0: u64,
-    window: u64,
-    f: impl Fn(&mut G, u64, Option<u64>, &P),
-) -> u64 {
-    for g in guesses {
-        for (j, p) in batch.iter().enumerate() {
-            let t = t0 + 1 + j as u64;
-            f(g, t, t.checked_sub(window), p);
-        }
-    }
-    t0 + batch.len() as u64
 }
 
 /// Drains every guess's dead-id scratch and frees the payloads whose

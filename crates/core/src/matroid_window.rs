@@ -31,10 +31,10 @@ use crate::algorithm::QueryScratch;
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
 use crate::config::{validate_scale, ConfigError};
 use crate::guess::CoresetEntry;
-use crate::guess_set::{replay_batch, DeadList, GuessSet, GuessSlot};
-use crate::memo::{prefix_for, QueryMemo};
+use crate::guess_set::{DeadList, GuessSet, GuessSlot};
+use crate::memo::QueryMemo;
 use fairsw_matroid::{Matroid, OverColors};
-use fairsw_metric::{packing_scan, Colored, ColoredId, Metric, PointId, Resolver};
+use fairsw_metric::{packing_scan, Colored, Metric, PointId, Resolver};
 use fairsw_sequential::matroid_center_ids;
 use fairsw_stream::Lattice;
 use std::collections::{BTreeMap, HashMap};
@@ -449,8 +449,7 @@ impl<M: Metric, Mat: Matroid<u32>> MatroidSlidingWindow<M, Mat> {
     /// retained configuration (same guess lattice, same matroid) — the
     /// delete-and-recreate reuse path of serving layers.
     pub fn reset(&mut self) {
-        let gammas: Vec<f64> = self.set.guesses.iter().map(|g| g.gamma).collect();
-        self.set = GuessSet::new(gammas.into_iter().map(MatroidGuess::new).collect());
+        self.set.reset(MatroidGuess::new);
         self.t = 0;
         self.memo.clear();
     }
@@ -462,120 +461,76 @@ where
     M::Point: Send + Sync,
     Mat: Matroid<u32> + Sync,
 {
-    /// Handles one arrival (interned once, then Update on every guess;
-    /// the matroid oracle is shared read-only).
-    fn insert(&mut self, p: Colored<M::Point>) {
-        self.t += 1;
-        let t = self.t;
-        let te = t.checked_sub(self.window_size as u64);
-        let id = self.set.store.insert(t, p.point);
-        let metric = &self.metric;
-        let matroid = &self.matroid;
-        let (k, delta) = (self.k, self.delta);
-        let res = self.set.store.resolver();
-        for g in &mut self.set.guesses {
-            if let Some(te) = te {
-                g.expire(res, te);
-            }
-            g.update(metric, res, t, id, p.color, matroid, k, delta);
-        }
-        self.set.finish_arrival(te);
-    }
-
-    /// Batch arrivals: the batch is interned up front and each guess
-    /// replays it locally (identical evolution to repeated insert).
+    /// Batch arrivals through the shared arrival protocol: the batch is
+    /// interned once, then each guess replays it in stream order (the
+    /// matroid oracle is shared read-only).
     fn insert_batch<I>(&mut self, batch: I)
     where
         I: IntoIterator<Item = Colored<M::Point>>,
     {
-        let n = self.window_size as u64;
-        let ids: Vec<ColoredId> = batch
-            .into_iter()
-            .enumerate()
-            .map(|(j, p)| {
-                let t = self.t + 1 + j as u64;
-                Colored::new(self.set.store.insert(t, p.point), p.color)
-            })
-            .collect();
         let metric = &self.metric;
         let matroid = &self.matroid;
         let (k, delta) = (self.k, self.delta);
-        let res = self.set.store.resolver();
-        self.t = replay_batch(&mut self.set.guesses, &ids, self.t, n, |g, t, te, cid| {
+        let n = self.window_size as u64;
+        self.t = self.set.arrive(batch, self.t, n, |g, res, t, te, cid| {
             if let Some(te) = te {
                 g.expire(res, te);
             }
             g.update(metric, res, t, cid.point, cid.color, matroid, k, delta);
         });
-        self.set.finish_arrival(self.t.checked_sub(n));
     }
 
     /// Queries: validation packing as in Algorithm 3 (`k = rank`), then
     /// the generic matroid-center solver on the coreset (resolved from
     /// the arena inside [`matroid_center_ids`] at solution assembly).
+    /// Memoized like every variant's default-solver query.
     fn query(&self) -> Result<Solution<M::Point>, QueryError> {
-        if self.t == 0 {
-            return Err(QueryError::EmptyWindow);
-        }
-        // Memoized on the engine time (inserts are the only mutation),
-        // with the solver-independent non-qualifying prefix skipped.
-        if let Some(hit) = self.memo.cached(self.t) {
-            return hit;
-        }
-        let pairs: Vec<(f64, u64)> = self
-            .set
-            .guesses
-            .iter()
-            .map(|g| (GuessSlot::gamma(g), GuessSlot::rev(g)))
-            .collect();
-        let skip = self.memo.skip_count(pairs.iter().copied());
         let res = self.set.store.resolver();
-        let result = self
-            .scratch
-            .with(|s| {
-                self.set.guesses[skip..].iter().find_map(|g| {
-                    if g.av.len() > self.k {
-                        return None;
-                    }
-                    // Batched 2γ-packing over RV (k = rank).
-                    s.view.gather_ids(&self.metric, res, g.rv.values().copied());
-                    packing_scan(
-                        &self.metric,
-                        &s.view,
-                        2.0 * g.gamma,
-                        self.k,
-                        &mut s.dist,
-                        &mut s.min_dist,
-                        &mut s.packed,
-                    )?;
-                    let ids: Vec<PointId> = g.r.values().map(|e| e.id).collect();
-                    let colors: Vec<u32> = g.r.values().map(|e| e.color).collect();
-                    let idx_matroid = OverColors::new(&colors, &self.matroid);
-                    Some(
-                        matroid_center_ids(&self.metric, res, &ids, &idx_matroid)
-                            .map_err(QueryError::Solver)
-                            .map(|sol| {
-                                let centers = sol
-                                    .centers
-                                    .iter()
-                                    .map(|&i| Colored::new(res.get(ids[i]).clone(), colors[i]))
-                                    .collect();
-                                Solution {
-                                    centers,
-                                    guess: g.gamma,
-                                    coreset_size: ids.len(),
-                                    coreset_radius: sol.radius,
-                                    extras: SolutionExtras::None,
-                                }
-                            }),
-                    )
+        let scan = |guesses: &[MatroidGuess]| {
+            self.scratch
+                .with(|s| {
+                    guesses.iter().find_map(|g| {
+                        if g.av.len() > self.k {
+                            return None;
+                        }
+                        // Batched 2γ-packing over RV (k = rank).
+                        s.view.gather_ids(&self.metric, res, g.rv.values().copied());
+                        packing_scan(
+                            &self.metric,
+                            &s.view,
+                            2.0 * g.gamma,
+                            self.k,
+                            &mut s.dist,
+                            &mut s.min_dist,
+                            &mut s.packed,
+                        )?;
+                        let ids: Vec<PointId> = g.r.values().map(|e| e.id).collect();
+                        let colors: Vec<u32> = g.r.values().map(|e| e.color).collect();
+                        let idx_matroid = OverColors::new(&colors, &self.matroid);
+                        Some(
+                            matroid_center_ids(&self.metric, res, &ids, &idx_matroid)
+                                .map_err(QueryError::Solver)
+                                .map(|sol| {
+                                    let centers = sol
+                                        .centers
+                                        .iter()
+                                        .map(|&i| Colored::new(res.get(ids[i]).clone(), colors[i]))
+                                        .collect();
+                                    Solution {
+                                        centers,
+                                        guess: g.gamma,
+                                        coreset_size: ids.len(),
+                                        coreset_radius: sol.radius,
+                                        extras: SolutionExtras::None,
+                                    }
+                                }),
+                        )
+                    })
                 })
-            })
-            .unwrap_or(Err(QueryError::NoValidGuess));
+                .unwrap_or(Err(QueryError::NoValidGuess))
+        };
         self.memo
-            .record_prefix(self.t, prefix_for(pairs.iter().copied(), &result));
-        self.memo.record_result(self.t, &result);
-        result
+            .query(self.t, || self.memo.scan(self.t, &self.set.guesses, scan))
     }
 
     fn time(&self) -> u64 {

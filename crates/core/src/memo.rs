@@ -17,8 +17,17 @@
 //! The memo is interior-mutable (queries take `&self`) behind a `Mutex`,
 //! and — like [`ScratchPool`](fairsw_metric::ScratchPool) — clones start
 //! empty: a memo is never semantic state.
+//!
+//! Every variant drives the memo through two calls:
+//! [`QueryMemo::scan`] wraps a guess scan (skip the proven prefix, scan
+//! the rest, record the prefix the outcome proves), and
+//! [`QueryMemo::query`] wraps the default-solver query (return the
+//! result recorded at this time, or compute and record it). Only
+//! `query` records a result: a result names its solver, so a
+//! `query_with(solver)` scan records just the solver-independent prefix.
 
 use crate::api::{QueryError, Solution};
+use crate::guess_set::GuessSlot;
 use std::fmt;
 use std::sync::Mutex;
 
@@ -65,8 +74,48 @@ impl<P> fmt::Debug for QueryMemo<P> {
 }
 
 impl<P: Clone> QueryMemo<P> {
+    /// Runs a guess scan at engine time `t` over `guesses` (ascending
+    /// `γ`): an empty engine (`t = 0`) answers
+    /// [`QueryError::EmptyWindow`] without scanning; otherwise `scan`
+    /// runs on the guesses after the prefix a previous scan proved
+    /// non-qualifying at an identical `(γ, rev)` state, and the prefix
+    /// this outcome proves is recorded. Qualification is
+    /// solver-independent, so the skip is sound whatever solver `scan`
+    /// runs.
+    pub fn scan<G: GuessSlot>(
+        &self,
+        t: u64,
+        guesses: &[G],
+        scan: impl FnOnce(&[G]) -> Result<Solution<P>, QueryError>,
+    ) -> Result<Solution<P>, QueryError> {
+        if t == 0 {
+            return Err(QueryError::EmptyWindow);
+        }
+        let pairs = || guesses.iter().map(|g| (g.gamma(), g.rev()));
+        let result = scan(&guesses[self.skip_count(pairs())..]);
+        self.record_prefix(t, prefix_for(pairs(), &result));
+        result
+    }
+
+    /// The default-solver query at engine time `t`: the result recorded
+    /// at `t` when there is one (inserts are the only mutation, so equal
+    /// `t` means equal state), else `compute()`, recorded for the next
+    /// query at `t`.
+    pub fn query(
+        &self,
+        t: u64,
+        compute: impl FnOnce() -> Result<Solution<P>, QueryError>,
+    ) -> Result<Solution<P>, QueryError> {
+        if let Some(hit) = self.cached(t) {
+            return hit;
+        }
+        let result = compute();
+        self.record_result(t, &result);
+        result
+    }
+
     /// The memoized result, when one was recorded at exactly time `t`.
-    pub fn cached(&self, t: u64) -> Option<Result<Solution<P>, QueryError>> {
+    fn cached(&self, t: u64) -> Option<Result<Solution<P>, QueryError>> {
         let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         if inner.t == t {
             inner.result.clone()
@@ -79,7 +128,7 @@ impl<P: Clone> QueryMemo<P> {
     /// scan order) the recorded prefix still covers — each was proven
     /// non-qualifying at an identical family state, so the scan may
     /// start after them.
-    pub fn skip_count(&self, guesses: impl Iterator<Item = (f64, u64)>) -> usize {
+    fn skip_count(&self, guesses: impl Iterator<Item = (f64, u64)>) -> usize {
         let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         guesses
             .zip(inner.prefix.iter())
@@ -90,9 +139,9 @@ impl<P: Clone> QueryMemo<P> {
     /// Records the non-qualifying `(γ bits, rev)` prefix a scan proved
     /// at time `t`. Qualification (attractor count, packing fit) is
     /// solver-independent, so this is safe to record from
-    /// `query_with(solver)` for *any* solver; the full result is not
-    /// (it names a solver), so this drops any memoized result.
-    pub fn record_prefix(&self, t: u64, prefix: Vec<(u64, u64)>) {
+    /// a `query_with(solver)` scan for *any* solver; the full result is
+    /// not (it names a solver), so this drops any memoized result.
+    fn record_prefix(&self, t: u64, prefix: Vec<(u64, u64)>) {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         inner.t = t;
         inner.result = None;
@@ -102,7 +151,7 @@ impl<P: Clone> QueryMemo<P> {
     /// Records the default-solver result at time `t` (the same-`t` fast
     /// path for [`cached`](Self::cached)). Keeps a prefix already
     /// recorded at the same `t`; discards one recorded at another time.
-    pub fn record_result(&self, t: u64, result: &Result<Solution<P>, QueryError>) {
+    fn record_result(&self, t: u64, result: &Result<Solution<P>, QueryError>) {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         if inner.t != t {
             inner.t = t;
@@ -124,7 +173,7 @@ impl<P: Clone> QueryMemo<P> {
 /// `guesses` (ascending-γ `(γ, rev)` pairs): every guess strictly below
 /// the winning `γ̂` for a solution, every guess when no guess qualified,
 /// and nothing when the solver itself failed (the scan stopped early).
-pub(crate) fn prefix_for<P>(
+fn prefix_for<P>(
     guesses: impl Iterator<Item = (f64, u64)>,
     result: &Result<Solution<P>, QueryError>,
 ) -> Vec<(u64, u64)> {
@@ -216,5 +265,36 @@ mod tests {
         let none =
             prefix_for::<EuclidPoint>(guesses.iter().copied(), &Err(QueryError::EmptyWindow));
         assert!(none.is_empty(), "other errors record nothing");
+    }
+
+    #[test]
+    fn scan_skips_the_proven_prefix_and_never_records_a_result() {
+        use crate::guess::GuessState;
+        let memo: QueryMemo<EuclidPoint> = QueryMemo::default();
+        let guesses: Vec<GuessState> = [1.0, 2.0, 4.0].map(GuessState::new).into();
+        let empty = memo.scan(0, &guesses, |_| unreachable!("t = 0 never scans"));
+        assert!(matches!(empty, Err(QueryError::EmptyWindow)));
+        // γ = 4 wins, proving γ = 1 and 2 out at unchanged revisions…
+        let won = memo.scan(5, &guesses, |gs| {
+            assert_eq!(gs.len(), 3);
+            Ok(sol(4.0))
+        });
+        assert_eq!(won.unwrap().guess, 4.0);
+        // …so a later scan starts at γ = 4.
+        let _ = memo.scan(6, &guesses, |gs| {
+            assert_eq!(gs.len(), 1);
+            Ok(sol(4.0))
+        });
+        // The scan at t = 6 recorded no result: the first default-solver
+        // query there computes, and only a repeat hits.
+        let mut computed = 0;
+        for _ in 0..2 {
+            let r = memo.query(6, || {
+                computed += 1;
+                Ok(sol(4.0))
+            });
+            assert_eq!(r.unwrap().guess, 4.0);
+        }
+        assert_eq!(computed, 1);
     }
 }

@@ -4,7 +4,7 @@
 //! guess lattice. This variant estimates the relevant scale range *of the
 //! current window* on the fly, maintaining guesses only inside it
 //! (cf. the techniques of Pellizzoni et al. \[8\] adopted by the paper;
-//! DESIGN.md §4 documents our estimator):
+//! the `fairsw_stream::diameter` module documents our estimator):
 //!
 //! * the **upper** cutoff comes from a sliding-window diameter estimator
 //!   (rotating anchors, lattice-quantized windowed maxima): guesses above
@@ -208,6 +208,52 @@ impl<M: Metric> ObliviousFairSlidingWindow<M> {
         }
     }
 
+    /// Handles one arrival: scale estimation, guess-range maintenance,
+    /// then Update on every materialized guess.
+    fn arrive(&mut self, p: Colored<M::Point>) {
+        self.t += 1;
+        let t = self.t;
+        let n = self.cfg.window_size as u64;
+        let te = t.checked_sub(n);
+
+        // Scale estimators.
+        self.diam.push(t, &p.point);
+        if let Some(prev) = &self.last {
+            let d = self.metric.dist(&prev.point, &p.point);
+            self.consec_min.push(t, d);
+        } else {
+            self.consec_min.expire(t);
+        }
+        self.last = Some(p.clone());
+
+        self.adjust_range();
+
+        let color = p.color;
+        let id = self.store.insert(t, p.point);
+        let metric = &self.metric;
+        let budgets = Budgets {
+            caps: &self.cfg.capacities,
+            k: self.k,
+            delta: self.cfg.delta,
+        };
+        let res = self.store.resolver();
+        for g in self.guesses.values_mut() {
+            if let Some(te) = te {
+                g.state.expire(res, te);
+            }
+            g.state.update(metric, res, t, id, color, budgets);
+        }
+        // Arrival epilogue: reclaim payloads released by the updates,
+        // then run the window-expiry epoch sweep.
+        reclaim_dead(
+            &mut self.store,
+            self.guesses.values_mut().map(|g| &mut g.state),
+        );
+        if let Some(te) = te {
+            self.store.expire(te);
+        }
+    }
+
     /// Queries the current window with an explicit coreset solver.
     /// Prefers mature guesses; falls back to immature ones, then to the
     /// newest point (degenerate windows where no scale information
@@ -231,16 +277,11 @@ impl<M: Metric> ObliviousFairSlidingWindow<M> {
         let res = self.store.resolver();
 
         let attempt = |only_mature: bool| {
-            let scan: Vec<(&GuessState, bool)> = all
-                .iter()
-                .copied()
-                .filter(|&(_, m)| m || !only_mature)
-                .collect();
             query_over_guesses(
                 &self.scratch,
                 &self.metric,
                 res,
-                &scan,
+                all.iter().copied().filter(|&(_, m)| m || !only_mature),
                 self.k,
                 &self.cfg.capacities,
                 solver,
@@ -296,61 +337,22 @@ where
     M: Metric + Sync,
     M::Point: Send + Sync,
 {
-    /// Handles one arrival: scale estimation, guess-range maintenance,
-    /// then Update on every materialized guess.
-    fn insert(&mut self, p: Colored<M::Point>) {
-        self.t += 1;
-        let t = self.t;
-        let n = self.cfg.window_size as u64;
-        let te = t.checked_sub(n);
-
-        // Scale estimators.
-        self.diam.push(t, &p.point);
-        if let Some(prev) = &self.last {
-            let d = self.metric.dist(&prev.point, &p.point);
-            self.consec_min.push(t, d);
-        } else {
-            self.consec_min.expire(t);
-        }
-        self.last = Some(p.clone());
-
-        self.adjust_range();
-
-        let color = p.color;
-        let id = self.store.insert(t, p.point);
-        let metric = &self.metric;
-        let budgets = Budgets {
-            caps: &self.cfg.capacities,
-            k: self.k,
-            delta: self.cfg.delta,
-        };
-        let res = self.store.resolver();
-        for g in self.guesses.values_mut() {
-            if let Some(te) = te {
-                g.state.expire(res, te);
-            }
-            g.state.update(metric, res, t, id, color, budgets);
-        }
-        // Arrival epilogue: reclaim payloads released by the updates,
-        // then run the window-expiry epoch sweep.
-        reclaim_dead(
-            &mut self.store,
-            self.guesses.values_mut().map(|g| &mut g.state),
-        );
-        if let Some(te) = te {
-            self.store.expire(te);
+    /// Batch arrivals, one at a time in stream order: the scale
+    /// estimators and the materialized guess range change between
+    /// arrivals, so a batch cannot be replayed guess by guess.
+    fn insert_batch<I>(&mut self, batch: I)
+    where
+        I: IntoIterator<Item = Colored<M::Point>>,
+    {
+        for p in batch {
+            self.arrive(p);
         }
     }
 
     /// Query with the default solver, memoized on the engine time
     /// (repeat queries at unchanged `t` return the recorded result).
     fn query(&self) -> Result<Solution<M::Point>, QueryError> {
-        if let Some(hit) = self.memo.cached(self.t) {
-            return hit;
-        }
-        let result = self.query_with(&Jones);
-        self.memo.record_result(self.t, &result);
-        result
+        self.memo.query(self.t, || self.query_with(&Jones))
     }
 
     fn time(&self) -> u64 {

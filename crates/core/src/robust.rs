@@ -24,16 +24,16 @@
 //! outliers are clustered together. For isolated outliers (the regime the
 //! robust k-center literature targets, and what the tests plant) each
 //! outlier is its own c-attractor and representative, and the accounting
-//! is exact. A weighted-coreset refinement is the natural next step and
-//! is listed in DESIGN.md.
+//! is exact. A weighted-coreset refinement is the natural next step; it
+//! is not implemented.
 
 use crate::algorithm::QueryScratch;
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
 use crate::config::{validate_scale, ConfigError, FairSWConfig};
 use crate::guess::{Budgets, GuessState};
-use crate::guess_set::{replay_batch, GuessSet};
-use crate::memo::{prefix_for, QueryMemo};
-use fairsw_metric::{packing_scan, Colored, ColoredId, Metric};
+use crate::guess_set::GuessSet;
+use crate::memo::QueryMemo;
+use fairsw_metric::{packing_scan, Colored, Metric};
 use fairsw_sequential::RobustFair;
 use fairsw_stream::Lattice;
 
@@ -95,8 +95,7 @@ impl<M: Metric> RobustFairSlidingWindow<M> {
     /// retained configuration (same guess lattice, same inflated budgets)
     /// — the delete-and-recreate reuse path of serving layers.
     pub fn reset(&mut self) {
-        let gammas: Vec<f64> = self.set.guesses.iter().map(|g| g.gamma).collect();
-        self.set = GuessSet::new(gammas.into_iter().map(GuessState::new).collect());
+        self.set.reset(GuessState::new);
         self.t = 0;
         self.memo.clear();
     }
@@ -107,13 +106,13 @@ where
     M: Metric + Sync,
     M::Point: Send + Sync,
 {
-    /// Handles one arrival (interned once, then Update on every guess
-    /// with the robustified budgets).
-    fn insert(&mut self, p: Colored<M::Point>) {
-        self.t += 1;
-        let t = self.t;
-        let te = t.checked_sub(self.cfg.window_size as u64);
-        let id = self.set.store.insert(t, p.point);
+    /// Batch arrivals through the shared arrival protocol: the batch is
+    /// interned once, then each guess replays it in stream order with
+    /// the robustified budgets.
+    fn insert_batch<I>(&mut self, batch: I)
+    where
+        I: IntoIterator<Item = Colored<M::Point>>,
+    {
         // Validation structures certify the *robust* optimum: cap k+z.
         let metric = &self.metric;
         let budgets = Budgets {
@@ -121,114 +120,67 @@ where
             k: self.k + self.z,
             delta: self.cfg.delta,
         };
-        let res = self.set.store.resolver();
-        for g in &mut self.set.guesses {
-            if let Some(te) = te {
-                g.expire(res, te);
-            }
-            g.update(metric, res, t, id, p.color, budgets);
-        }
-        self.set.finish_arrival(te);
-    }
-
-    /// Batch arrivals: the batch is interned up front and each guess
-    /// replays it locally (identical evolution to repeated insert).
-    fn insert_batch<I>(&mut self, batch: I)
-    where
-        I: IntoIterator<Item = Colored<M::Point>>,
-    {
         let n = self.cfg.window_size as u64;
-        let ids: Vec<ColoredId> = batch
-            .into_iter()
-            .enumerate()
-            .map(|(j, p)| {
-                let t = self.t + 1 + j as u64;
-                Colored::new(self.set.store.insert(t, p.point), p.color)
-            })
-            .collect();
-        let metric = &self.metric;
-        let budgets = Budgets {
-            caps: &self.inflated_caps,
-            k: self.k + self.z,
-            delta: self.cfg.delta,
-        };
-        let res = self.set.store.resolver();
-        self.t = replay_batch(&mut self.set.guesses, &ids, self.t, n, |g, t, te, cid| {
+        self.t = self.set.arrive(batch, self.t, n, |g, res, t, te, cid| {
             if let Some(te) = te {
                 g.expire(res, te);
             }
             g.update(metric, res, t, cid.point, cid.color, budgets);
         });
-        self.set.finish_arrival(self.t.checked_sub(n));
     }
 
     /// Queries: guess selection with the `k+z` packing threshold, then
     /// the robust fair solver on the coreset with the *original* budgets.
     /// The discarded outliers ride in [`SolutionExtras::Robust`].
+    /// Memoized like every variant's default-solver query.
     fn query(&self) -> Result<Solution<M::Point>, QueryError> {
-        if self.t == 0 {
-            return Err(QueryError::EmptyWindow);
-        }
-        // Memoized on the engine time (inserts are the only mutation),
-        // with the solver-independent non-qualifying prefix skipped.
-        if let Some(hit) = self.memo.cached(self.t) {
-            return hit;
-        }
-        let pairs: Vec<(f64, u64)> = self
-            .set
-            .guesses
-            .iter()
-            .map(|g| (g.gamma(), g.rev()))
-            .collect();
-        let skip = self.memo.skip_count(pairs.iter().copied());
         let k_eff = self.k + self.z;
         let solver = RobustFair::new(self.z);
         let res = self.set.store.resolver();
-        let result = self
-            .scratch
-            .with(|s| {
-                self.set.guesses[skip..].iter().find_map(|g| {
-                    if g.av_len() > k_eff {
-                        return None;
-                    }
-                    // Batched 2γ-packing with the robust `k+z` threshold.
-                    s.view.gather_ids(&self.metric, res, g.rv_ids());
-                    packing_scan(
-                        &self.metric,
-                        &s.view,
-                        2.0 * g.gamma(),
-                        k_eff,
-                        &mut s.dist,
-                        &mut s.min_dist,
-                        &mut s.packed,
-                    )?;
-                    let ids = g.coreset_ids();
-                    Some(
-                        solver
-                            .solve_robust_ids(&self.metric, res, &ids, &self.cfg.capacities)
-                            .map_err(QueryError::Solver)
-                            .map(|sol| {
-                                let outliers = sol
-                                    .outliers
-                                    .iter()
-                                    .map(|&i| res.colored(ids[i]).map(Clone::clone))
-                                    .collect();
-                                Solution {
-                                    centers: sol.centers,
-                                    guess: g.gamma(),
-                                    coreset_size: ids.len(),
-                                    coreset_radius: sol.radius,
-                                    extras: SolutionExtras::Robust { outliers },
-                                }
-                            }),
-                    )
+        let scan = |guesses: &[GuessState]| {
+            self.scratch
+                .with(|s| {
+                    guesses.iter().find_map(|g| {
+                        if g.av_len() > k_eff {
+                            return None;
+                        }
+                        // Batched 2γ-packing with the robust `k+z` threshold.
+                        s.view.gather_ids(&self.metric, res, g.rv_ids());
+                        packing_scan(
+                            &self.metric,
+                            &s.view,
+                            2.0 * g.gamma(),
+                            k_eff,
+                            &mut s.dist,
+                            &mut s.min_dist,
+                            &mut s.packed,
+                        )?;
+                        let ids = g.coreset_ids();
+                        Some(
+                            solver
+                                .solve_robust_ids(&self.metric, res, &ids, &self.cfg.capacities)
+                                .map_err(QueryError::Solver)
+                                .map(|sol| {
+                                    let outliers = sol
+                                        .outliers
+                                        .iter()
+                                        .map(|&i| res.colored(ids[i]).map(Clone::clone))
+                                        .collect();
+                                    Solution {
+                                        centers: sol.centers,
+                                        guess: g.gamma(),
+                                        coreset_size: ids.len(),
+                                        coreset_radius: sol.radius,
+                                        extras: SolutionExtras::Robust { outliers },
+                                    }
+                                }),
+                        )
+                    })
                 })
-            })
-            .unwrap_or(Err(QueryError::NoValidGuess));
+                .unwrap_or(Err(QueryError::NoValidGuess))
+        };
         self.memo
-            .record_prefix(self.t, prefix_for(pairs.iter().copied(), &result));
-        self.memo.record_result(self.t, &result);
-        result
+            .query(self.t, || self.memo.scan(self.t, &self.set.guesses, scan))
     }
 
     fn time(&self) -> u64 {

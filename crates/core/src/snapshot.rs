@@ -29,8 +29,8 @@
 //! distance function itself is code, not data). Hand-rolled rather than
 //! serde-derived: the state contains `Arc<[f64]>` payloads and
 //! `BTreeMap`/`VecDeque` families whose derived encodings would be both
-//! larger and slower, and the workspace keeps its dependency surface
-//! minimal (DESIGN.md §6). Hash-keyed tables are written in ascending
+//! larger and slower, and the workspace is std-only apart from its
+//! vendored test shims. Hash-keyed tables are written in ascending
 //! key order, so equal states encode to equal bytes.
 //!
 //! ## Snapshots go through the arena

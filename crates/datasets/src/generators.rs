@@ -3,7 +3,7 @@
 //! * [`blobs`] and [`rotated`] reproduce the paper's §4.3 synthetic
 //!   families exactly as described;
 //! * [`phones_like`], [`higgs_like`] and [`covtype_like`] are the
-//!   offline stand-ins for the three UCI datasets (DESIGN.md §4): they
+//!   offline stand-ins for the three UCI datasets: they
 //!   match the originals' dimensionality, number of colors, color skew,
 //!   and order-of-magnitude aspect ratio, which are the only data
 //!   properties the algorithms observe.

@@ -7,8 +7,9 @@
 //! stand-ins that match their dimensionality, number of colors, color
 //! skew and target aspect ratio — the only properties the algorithms
 //! observe (they interact with data solely through pairwise distances,
-//! colors and arrival order). See DESIGN.md §4 for the substitution
-//! rationale. Real data can be supplied through [`io::read_csv_points`].
+//! colors and arrival order), so matching those properties is what the
+//! substitution needs. Real data can be supplied through
+//! [`io::read_csv_points`].
 //!
 //! All generators are deterministic given a seed.
 

@@ -20,7 +20,7 @@
 //! distances when the instance is small; for larger instances
 //! materialising the `O(n²)` distances is prohibitive (at the paper's
 //! 500k-point windows it would be terabytes), so we binary-search radius
-//! *values* to a relative tolerance — see DESIGN.md §4. This solver is
+//! *values* to a relative tolerance instead. This solver is
 //! deliberately the slow, high-quality baseline of the evaluation.
 
 use crate::{validate, FairCenterSolver, FairSolution, Instance, SolveError};

@@ -31,7 +31,7 @@
 //! fair and feasible, with coverage degrading gracefully. Fairness is
 //! exact and at most `z` points are excluded; the radius guarantee is
 //! bicriteria in the spirit of Amagata (AISTATS 2024) — the
-//! exact-constant LP machinery is out of scope and flagged in DESIGN.md.
+//! exact-constant LP machinery is out of scope.
 //!
 //! Cost: the head search keeps the `n × n` pairwise matrix from the pass
 //! that builds its candidate radii, so the metric runs `n²` times plus one

@@ -17,9 +17,12 @@
 //!   bit-identical to per-point insertion, so buffering is invisible to
 //!   clients;
 //! * **shard ownership** — tenants are hash-sharded across shard
-//!   threads that own their engines outright; the hot path takes no
-//!   locks, and the shards are the server's only parallelism — engines
-//!   run sequentially, so the thread count follows `--shards`, never the
+//!   threads that own their engines outright, so no engine is shared
+//!   between threads (the one lock the threads share on the request
+//!   path is the `QUERY` result cache's, taken for every dispatched
+//!   write and every `QUERY`), and the shards are the server's only
+//!   parallelism — engines run
+//!   sequentially, so the thread count follows `--shards`, never the
 //!   tenant count;
 //! * **admission control** — per-shard queues are bounded; a full queue
 //!   answers `OVERLOADED` instead of buffering without bound;

@@ -1,6 +1,6 @@
-//! The multi-tenant TCP server: shard threads own the engines, the hot
-//! path is lock-free, admission control is a bounded queue, and one
-//! event-driven reactor thread fronts every connection.
+//! The multi-tenant TCP server: shard threads own the engines, admission
+//! control is a bounded queue, and one event-driven reactor thread
+//! fronts every connection.
 //!
 //! ## Architecture
 //!
@@ -13,9 +13,14 @@
 //! ```
 //!
 //! Tenants are hash-sharded by name across `shards` worker threads; each
-//! shard **owns** its tenants' [`WindowEngine`]s outright — no mutex is
-//! ever taken on the insert/query path; cross-thread communication is
-//! exactly one bounded [`sync_channel`] per shard. When a shard's queue
+//! shard **owns** its tenants' [`WindowEngine`]s outright, so no engine
+//! is shared between threads, and requests reach a shard through
+//! exactly one bounded [`sync_channel`] per shard. The one lock the
+//! reactor and the shards share on the request path is the server-wide
+//! `QueryCache` mutex: the router takes it for every write it
+//! dispatches (to bump the tenant's cache version) and for every
+//! `QUERY` (to look up the cached reply), and a missed `QUERY`'s reply
+//! takes it once more to record itself. When a shard's queue
 //! is full, the reactor replies [`ErrorKind::Overloaded`] immediately
 //! instead of buffering without bound — clients treat it as
 //! back-pressure and retry.

@@ -5,7 +5,7 @@
 //! of the *current window's* distance scales instead of stream-global
 //! `dmin`/`dmax`. The paper adopts the estimator machinery of Pellizzoni
 //! et al. \[8\]; we implement a rotating-anchor scheme with the same
-//! interface and constant-factor guarantees (DESIGN.md §4):
+//! interface and constant-factor guarantees:
 //!
 //! * **Upper bound.** Fix an anchor point `a` that arrived no later than
 //!   the start of the current window and track

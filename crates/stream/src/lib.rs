@@ -10,7 +10,7 @@
 //!   whose entries are distinct quantization levels);
 //! * [`diameter`] — a sliding-window diameter estimator with rotating
 //!   anchors, used by the aspect-ratio-oblivious variant of the algorithm
-//!   to bound the guess range from above (DESIGN.md §4);
+//!   to bound the guess range from above;
 //! * [`window`] — an exact window buffer, used by the full-window
 //!   sequential baselines and by tests as ground truth.
 

@@ -5,10 +5,10 @@
 //! replaying a batch guess by guess must be **bit-identical** to
 //! inserting its points one at a time — not "close", identical: same
 //! winning guess, same centers, same radius bits, same extras, same
-//! per-guess memory accounting. This suite enforces that for all five
-//! variants across the fill/slide/drift scenario matrix. A final
-//! battery checks that [`run_fleet`], which drives one engine per
-//! thread, answers exactly like driving each engine alone.
+//! per-guess memory accounting, same snapshot bytes. This suite enforces
+//! that for all five variants across the fill/slide/drift scenario
+//! matrix. A final battery checks that [`run_fleet`], which drives one
+//! engine per thread, answers exactly like driving each engine alone.
 
 use fairsw::prelude::*;
 
@@ -214,6 +214,12 @@ fn assert_engines_agree(ctx: &str, a: &WindowEngine<Euclidean>, b: &WindowEngine
     assert_eq!(a.time(), b.time(), "{ctx}: arrival counter");
     assert_eq!(a.stored_points(), b.stored_points(), "{ctx}: memory");
     assert_memory_identical(ctx, &a.memory_stats(), &b.memory_stats());
+    // Snapshots name points by arrival time and write hash tables in key
+    // order, so equal engine states give equal bytes.
+    assert!(
+        a.snapshot() == b.snapshot(),
+        "{ctx}: snapshot bytes diverged"
+    );
     match (a.query(), b.query()) {
         (Ok(a), Ok(b)) => assert_solutions_identical(ctx, &a, &b),
         (Err(ea), Err(eb)) => assert_eq!(

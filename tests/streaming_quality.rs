@@ -139,7 +139,7 @@ fn compact_variant_quality_band() {
     let baseline = Jones.solve(&inst).expect("ok").radius;
     // Corollary 2's guarantee is 31+O(ε); in practice the paper observes
     // (δ=4 regime) within ~2× of the baselines. Assert the *guarantee*
-    // band, and record the practical band in EXPERIMENTS.md.
+    // band; the `ablation_compact` bench reports the practical one.
     assert!(
         r <= 31.0 * baseline + 1e-9,
         "compact radius {r} vs baseline {baseline}"
