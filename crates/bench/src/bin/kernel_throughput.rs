@@ -23,10 +23,13 @@
 //!   reported for context (its capacitated-matching bookkeeping is
 //!   distance-independent, so its attributable speedup is smaller).
 //!   The ingest that fills each engine is timed too: `Euclidean`'s
-//!   early-exit radius test against `ScalarOnly`'s default full
-//!   distance. The two engines' snapshots must be byte-identical, so
-//!   the per-point Update speedup (informational, not gated) comes from
-//!   the distance layer alone.
+//!   staged c-attractor scan (a tile kernel over each attractor's first
+//!   8 coordinates, continuing on the payload only where those do not
+//!   settle the test) and early-exit radius test, against `ScalarOnly`'s
+//!   defaults, one full `dist` per attractor resolved through the arena.
+//!   The two engines' snapshots must be byte-identical, so the per-point
+//!   Update speedup (informational, not gated) comes from the distance
+//!   layer alone.
 //!
 //! Results land in `BENCH_kernels.json` with the ≥ 1.5× query-speedup
 //! target recorded for the driver.
@@ -49,10 +52,11 @@ use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// A metric identical to the wrapped one except that it overrides only
-/// `dist`: it keeps every trait default, `within` included. It stages
-/// no views, so every batched call degrades to the scalar per-pair
-/// fallback, and every Update radius test computes the full distance.
-/// The "before" lane of the comparison.
+/// `dist`: it keeps every trait default, `within` and the block scan
+/// included. It stages no views and no attractor blocks, so every
+/// batched call degrades to the scalar per-pair fallback, and every
+/// Update radius test resolves the attractor and computes the full
+/// distance. The "before" lane of the comparison.
 #[derive(Clone, Copy, Debug, Default)]
 struct ScalarOnly<M>(M);
 

@@ -150,6 +150,9 @@ pub const HANDLE_ENTRY_BYTES: usize = 8;
 ///   payload copy; the ratio `stored_points / unique_points` is the
 ///   copy-reduction the arena delivers.
 ///
+/// [`resident_bytes`](Self::resident_bytes) adds the coordinates staged
+/// for the Update's radius scan ([`staged_bytes`](Self::staged_bytes)).
+///
 /// [`per_guess`]: Self::per_guess
 #[derive(Clone, Debug, Default)]
 pub struct MemoryStats {
@@ -165,6 +168,11 @@ pub struct MemoryStats {
     /// Heap bytes of those payloads (plus any auxiliary owned points a
     /// variant folds in).
     pub payload_bytes: usize,
+    /// Bytes of coordinates staged beside the handles: each
+    /// c-attractor's first `min(dim, 8)` coordinates, which the Update's
+    /// radius scan streams instead of resolving the arena (zero for
+    /// metrics that stage none).
+    pub staged_bytes: usize,
 }
 
 impl MemoryStats {
@@ -182,6 +190,7 @@ impl MemoryStats {
             auxiliary: 0,
             unique_points: 0,
             payload_bytes: 0,
+            staged_bytes: 0,
         }
     }
 
@@ -195,6 +204,12 @@ impl MemoryStats {
     pub fn with_arena(mut self, unique_points: usize, payload_bytes: usize) -> Self {
         self.unique_points = unique_points;
         self.payload_bytes = payload_bytes;
+        self
+    }
+
+    /// Records the coordinates the guesses stage beside their handles.
+    pub fn with_staged_bytes(mut self, bytes: usize) -> Self {
+        self.staged_bytes = bytes;
         self
     }
 
@@ -216,9 +231,10 @@ impl MemoryStats {
         self.per_guess.iter().map(|g| g.points).sum::<usize>() * HANDLE_ENTRY_BYTES
     }
 
-    /// Total resident bytes: handles plus deduplicated payloads.
+    /// Total resident bytes: handles, deduplicated payloads and staged
+    /// coordinates.
     pub fn resident_bytes(&self) -> usize {
-        self.handle_bytes() + self.payload_bytes
+        self.handle_bytes() + self.payload_bytes + self.staged_bytes
     }
 
     /// Number of (materialized) guesses `|Γ|`.

@@ -2,14 +2,21 @@
 //! (`A`, `repsC`, `R`) with the `Update` / `Cleanup` logic of
 //! Algorithms 1–2 of the paper.
 //!
-//! Every family is keyed by arrival time in a `BTreeMap`, which makes the
-//! three removal patterns of the algorithm cheap and obviously correct:
+//! Every family is keyed by arrival time, which makes the three removal
+//! patterns of the algorithm cheap and obviously correct:
 //!
 //! * **natural expiry** removes the single key `t - n`;
 //! * **Cleanup's age filter** ("remove everything with TTL below the
 //!   oldest v-attractor's") removes a *prefix* of keys;
 //! * **min-TTL evictions** (oldest v-attractor, oldest same-color
 //!   c-representative) pop the smallest key / the deque front.
+//!
+//! `AV`, `RV` and `R` are `BTreeMap`s. The c-attractors `A`, which every
+//! arrival scans and which only the doubling dimension bounds, live in
+//! an [`ArrivalBlock`]: new attractors arrive at the current time, so
+//! the family is a ring appended at the back and trimmed at the front,
+//! and the block stages each attractor's leading coordinates in tiles
+//! that [`Metric::scan_within`] streams.
 //!
 //! Two timing invariants keep the bookkeeping free of back-references
 //! (proved in the comments where they are used):
@@ -36,7 +43,7 @@
 //! moment no guess needs them.
 
 use crate::guess_set::DeadList;
-use fairsw_metric::{Colored, ColoredId, Metric, PointId, PointStore, Resolver};
+use fairsw_metric::{ArrivalBlock, Colored, ColoredId, Metric, PointId, PointStore, Resolver};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// The per-algorithm parameters threaded into every `Update`: the color
@@ -78,8 +85,9 @@ pub struct GuessState {
     /// v-representatives `RV` (current reps + orphans of dead attractors).
     pub(crate) rv: BTreeMap<u64, PointId>,
     /// c-attractors `A`: pairwise `> δγ/2`; size bounded by the doubling
-    /// dimension (Theorem 2, Fact 2), not by an explicit cap.
-    pub(crate) a: BTreeMap<u64, PointId>,
+    /// dimension (Theorem 2, Fact 2), not by an explicit cap. Rows in
+    /// arrival order, with the metric's staged leading coordinates.
+    pub(crate) a: ArrivalBlock,
     /// Per-attractor, per-color representative times (`repsC`). Each
     /// deque is sorted by arrival (we always push the newest), so the
     /// min-TTL eviction of Algorithm 1 line 19 is `pop_front`.
@@ -106,7 +114,7 @@ impl GuessState {
             av: BTreeMap::new(),
             rep_of: HashMap::new(),
             rv: BTreeMap::new(),
-            a: BTreeMap::new(),
+            a: ArrivalBlock::new(),
             reps_c: HashMap::new(),
             r: BTreeMap::new(),
             dead: DeadList::default(),
@@ -175,12 +183,10 @@ impl GuessState {
     /// guess is retired wholesale, e.g. by the oblivious range
     /// adjustment).
     pub(crate) fn release_all<P>(&self, store: &mut PointStore<P>) {
-        for &id in self
-            .av
-            .values()
-            .chain(self.rv.values())
-            .chain(self.a.values())
-        {
+        for &id in self.av.values().chain(self.rv.values()) {
+            store.release_owned(id);
+        }
+        for (_, id) in self.a.iter() {
             store.release_owned(id);
         }
         for e in self.r.values() {
@@ -207,7 +213,7 @@ impl GuessState {
             self.dead.release(res, id);
             removed = true;
         }
-        if let Some(id) = self.a.remove(&te) {
+        if let Some(id) = self.a.remove_front(te) {
             // Its representatives become orphans in R.
             self.reps_c.remove(&te);
             self.dead.release(res, id);
@@ -274,17 +280,20 @@ impl GuessState {
         // ---- coreset side (Algorithm 1, lines 2, 11–20) ----------------------
         let attach = delta * self.gamma / 2.0;
         let ci = color as usize;
-        // φ = c-attractor within δγ/2 of p minimising |repsC^i| (line 16).
-        let phi = self
-            .a
-            .iter()
-            .filter(|(_, &q)| metric.within(p, res.get(q), attach))
-            .min_by_key(|(&ta, _)| self.reps_c.get(&ta).map(|per| per[ci].len()).unwrap_or(0))
-            .map(|(&ta, _)| ta);
-        match phi {
+        // φ = c-attractor within δγ/2 of p minimising |repsC^i| (line 16);
+        // the first (oldest) one on ties.
+        let mut phi: Option<(usize, u64)> = None;
+        metric.scan_within(p, &self.a, res, attach, |row| {
+            let ta = self.a.time(row);
+            let reps = self.reps_c.get(&ta).map_or(0, |per| per[ci].len());
+            if phi.is_none_or(|(fewest, _)| reps < fewest) {
+                phi = Some((reps, ta));
+            }
+        });
+        match phi.map(|(_, ta)| ta) {
             None => {
                 // p becomes a new c-attractor with itself as its only rep.
-                self.a.insert(t, id);
+                self.a.push(t, id, metric.block_coords(p));
                 res.acquire(id);
                 let mut per = vec![VecDeque::new(); caps.len()];
                 per[ci].push_back(t);
@@ -344,11 +353,11 @@ impl GuessState {
             // Prefix removals (strictly below tmin). Invariant 2: every
             // removed rv/r entry is an orphan — live attractors have
             // arrival ≥ tmin and reps are younger than their attractor.
-            let keep_a = self.a.split_off(&tmin);
-            for (dead, id) in std::mem::replace(&mut self.a, keep_a) {
-                self.reps_c.remove(&dead);
-                self.dead.release(res, id);
-            }
+            let (reps_c, dead) = (&mut self.reps_c, &mut self.dead);
+            self.a.drop_before(tmin, |ta, id| {
+                reps_c.remove(&ta);
+                dead.release(res, id);
+            });
             let keep_rv = self.rv.split_off(&tmin);
             for (_, id) in std::mem::replace(&mut self.rv, keep_rv) {
                 self.dead.release(res, id);
@@ -374,7 +383,9 @@ impl GuessState {
         let Budgets { caps, k, delta } = b;
         let live = |time: u64| time + n > t;
         // All stored times are active and all handles resolve.
-        for (&time, &id) in self.av.iter().chain(self.a.iter()).chain(self.rv.iter()) {
+        let av = self.av.iter().map(|(&t, &id)| (t, id));
+        let rv = self.rv.iter().map(|(&t, &id)| (t, id));
+        for (time, id) in av.chain(self.a.iter()).chain(rv) {
             if !live(time) {
                 return Err(format!("expired entry {time} at t={t}"));
             }
@@ -409,7 +420,7 @@ impl GuessState {
         let cas: Vec<_> = self.a.iter().collect();
         for i in 0..cas.len() {
             for j in (i + 1)..cas.len() {
-                if metric.dist(res.get(*cas[i].1), res.get(*cas[j].1)) <= delta * self.gamma / 2.0 {
+                if metric.dist(res.get(cas[i].1), res.get(cas[j].1)) <= delta * self.gamma / 2.0 {
                     return Err(format!(
                         "c-attractors {} and {} within δγ/2",
                         cas[i].0, cas[j].0
@@ -437,9 +448,9 @@ impl GuessState {
         // reps_c: per-color caps, sorted deques, entries present in R with
         // the right attractor, within δγ of the attractor (2·(δγ/2)).
         for (&a, per) in &self.reps_c {
-            if !self.a.contains_key(&a) {
+            let Some(attractor) = self.a.get(a) else {
                 return Err(format!("repsC table for dead attractor {a}"));
-            }
+            };
             if per.len() != caps.len() {
                 return Err("repsC color arity mismatch".into());
             }
@@ -459,7 +470,7 @@ impl GuessState {
                             if e.attractor != a || e.color as usize != ci {
                                 return Err(format!("R entry {time} metadata mismatch"));
                             }
-                            let d = metric.dist(res.get(e.id), res.get(self.a[&a]));
+                            let d = metric.dist(res.get(e.id), res.get(attractor));
                             if d > delta * self.gamma / 2.0 + 1e-9 {
                                 return Err(format!(
                                     "rep {time} at distance {d} > δγ/2 from attractor {a}"
@@ -601,7 +612,7 @@ mod tests {
         let xs: Vec<f64> = (0..10).map(|i| i as f64 * 100.0).collect();
         let h = drive(1.0, 1.0, &[1], 100, &xs);
         assert!(h.g.r.keys().all(|&t| t >= 9));
-        assert!(h.g.a.keys().all(|&t| t >= 9));
+        assert!(h.g.a.times().all(|t| t >= 9));
         assert!(h.g.rv.keys().all(|&t| t >= 9));
         assert_eq!(
             h.store.live_points(),

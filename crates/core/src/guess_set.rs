@@ -76,6 +76,11 @@ pub(crate) trait GuessSlot {
     /// mutates. The reclaim pass ([`reclaim_dead`]) frees *payloads*
     /// only — family contents are untouched — so it never bumps this.
     fn rev(&self) -> u64;
+    /// Bytes of coordinates staged beside the handles (the c-attractor
+    /// block's heads); zero for guesses that stage none.
+    fn staged_bytes(&self) -> usize {
+        0
+    }
 }
 
 impl GuessSlot for crate::guess::GuessState {
@@ -90,6 +95,9 @@ impl GuessSlot for crate::guess::GuessState {
     }
     fn rev(&self) -> u64 {
         self.rev
+    }
+    fn staged_bytes(&self) -> usize {
+        self.a.staged_bytes()
     }
 }
 
@@ -114,16 +122,14 @@ impl<G: GuessSlot, P> GuessSet<G, P> {
         }
     }
 
-    /// The uniform memory breakdown: per-guess handle-entry counts plus
-    /// the arena's deduplicated payload accounting.
+    /// The uniform memory breakdown: per-guess handle-entry counts and
+    /// staged coordinates plus the arena's deduplicated payload
+    /// accounting.
     pub fn memory_stats(&self) -> MemoryStats
     where
         P: PointFootprint,
     {
-        arena_stats(
-            self.guesses.iter().map(|g| (g.gamma(), g.entries())),
-            &self.store,
-        )
+        arena_stats(&self.guesses, &self.store)
     }
 
     /// Total stored entries (the paper's memory metric), allocation-free.
@@ -200,13 +206,25 @@ pub(crate) fn reclaim_dead<'a, G, P>(
     }
 }
 
-/// Builds the uniform [`MemoryStats`] from per-guess `(γ, entries)`
-/// pairs plus the arena's deduplicated payload accounting.
-pub(crate) fn arena_stats<P: PointFootprint>(
-    per_guess: impl IntoIterator<Item = (f64, usize)>,
+/// Builds the uniform [`MemoryStats`] from the guesses' `(γ, entries)`
+/// and staged coordinates plus the arena's deduplicated payload
+/// accounting.
+pub(crate) fn arena_stats<'a, G, P>(
+    guesses: impl IntoIterator<Item = &'a G>,
     store: &PointStore<P>,
-) -> MemoryStats {
-    MemoryStats::from_guesses(per_guess).with_arena(store.live_points(), store.payload_bytes())
+) -> MemoryStats
+where
+    G: GuessSlot + 'a,
+    P: PointFootprint,
+{
+    let mut staged = 0;
+    let stats = MemoryStats::from_guesses(guesses.into_iter().map(|g| {
+        staged += g.staged_bytes();
+        (g.gamma(), g.entries())
+    }));
+    stats
+        .with_arena(store.live_points(), store.payload_bytes())
+        .with_staged_bytes(staged)
 }
 
 #[cfg(test)]

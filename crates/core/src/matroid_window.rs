@@ -34,7 +34,7 @@ use crate::guess::CoresetEntry;
 use crate::guess_set::{DeadList, GuessSet, GuessSlot};
 use crate::memo::QueryMemo;
 use fairsw_matroid::{Matroid, OverColors};
-use fairsw_metric::{packing_scan, Colored, Metric, PointId, Resolver};
+use fairsw_metric::{packing_scan, ArrivalBlock, Colored, Metric, PointId, Resolver};
 use fairsw_sequential::matroid_center_ids;
 use fairsw_stream::Lattice;
 use std::collections::{BTreeMap, HashMap};
@@ -48,7 +48,8 @@ pub(crate) struct MatroidGuess {
     pub(crate) av: BTreeMap<u64, PointId>,
     pub(crate) rep_of: HashMap<u64, u64>,
     pub(crate) rv: BTreeMap<u64, PointId>,
-    pub(crate) a: BTreeMap<u64, PointId>,
+    /// c-attractors in arrival order, with staged leading coordinates.
+    pub(crate) a: ArrivalBlock,
     /// Per-attractor representative arrival times, sorted (push-back).
     pub(crate) reps: HashMap<u64, Vec<u64>>,
     /// Coreset entries: handle, color, attractor.
@@ -72,6 +73,9 @@ impl GuessSlot for MatroidGuess {
     fn rev(&self) -> u64 {
         self.rev
     }
+    fn staged_bytes(&self) -> usize {
+        self.a.staged_bytes()
+    }
 }
 
 impl MatroidGuess {
@@ -81,7 +85,7 @@ impl MatroidGuess {
             av: BTreeMap::new(),
             rep_of: HashMap::new(),
             rv: BTreeMap::new(),
-            a: BTreeMap::new(),
+            a: ArrivalBlock::new(),
             reps: HashMap::new(),
             r: BTreeMap::new(),
             dead: DeadList::default(),
@@ -104,7 +108,7 @@ impl MatroidGuess {
             self.dead.release(res, id);
             removed = true;
         }
-        if let Some(id) = self.a.remove(&te) {
+        if let Some(id) = self.a.remove_front(te) {
             self.reps.remove(&te);
             self.dead.release(res, id);
             removed = true;
@@ -174,10 +178,8 @@ impl MatroidGuess {
         // generalization of the paper's per-color argmin balancing).
         let mut no_evict: Option<u64> = None;
         let mut smallest: Option<(usize, u64)> = None;
-        for (&ta, &q) in &self.a {
-            if !metric.within(p, res.get(q), attach) {
-                continue;
-            }
+        metric.scan_within(p, &self.a, res, attach, |row| {
+            let ta = self.a.time(row);
             let times = self.reps.get(&ta).map(Vec::as_slice).unwrap_or(&[]);
             let mut colors: Vec<u32> = times.iter().map(|tt| self.r[tt].color).collect();
             colors.push(color);
@@ -187,7 +189,7 @@ impl MatroidGuess {
             if smallest.is_none_or(|(len, _)| times.len() < len) {
                 smallest = Some((times.len(), ta));
             }
-        }
+        });
         match no_evict.or(smallest.map(|(_, ta)| ta)) {
             None => {
                 // New c-attractor. A loop color (never independent even
@@ -195,7 +197,7 @@ impl MatroidGuess {
                 // nearby points) but cannot serve as a representative —
                 // nevertheless we keep it in R for coverage accounting if
                 // independent alone.
-                self.a.insert(t, id);
+                self.a.push(t, id, metric.block_coords(p));
                 res.acquire(id);
                 if matroid.is_independent(&[color]) {
                     self.reps.insert(t, vec![t]);
@@ -268,11 +270,11 @@ impl MatroidGuess {
         }
         if self.av.len() == k + 1 {
             let tmin = *self.av.keys().next().expect("non-empty");
-            let keep_a = self.a.split_off(&tmin);
-            for (dead_t, id) in std::mem::replace(&mut self.a, keep_a) {
-                self.reps.remove(&dead_t);
-                self.dead.release(res, id);
-            }
+            let (reps, dead) = (&mut self.reps, &mut self.dead);
+            self.a.drop_before(tmin, |ta, id| {
+                reps.remove(&ta);
+                dead.release(res, id);
+            });
             let keep_rv = self.rv.split_off(&tmin);
             for (_, id) in std::mem::replace(&mut self.rv, keep_rv) {
                 self.dead.release(res, id);
@@ -299,22 +301,25 @@ impl MatroidGuess {
         delta: f64,
     ) -> Result<(), String> {
         let live = |time: u64| time + n > t;
-        for &time in self
+        for time in self
             .av
             .keys()
             .chain(self.rv.keys())
-            .chain(self.a.keys())
-            .chain(self.r.keys())
+            .copied()
+            .chain(self.a.times())
+            .chain(self.r.keys().copied())
         {
             if !live(time) {
                 return Err(format!("expired entry {time} at t={t}"));
             }
         }
-        for &id in self
+        let a_ids = self.a.iter().map(|(_, id)| id);
+        for id in self
             .av
             .values()
             .chain(self.rv.values())
-            .chain(self.a.values())
+            .copied()
+            .chain(a_ids)
         {
             if res.try_get(id).is_none() {
                 return Err("entry holds a collected arena id".into());
@@ -337,7 +342,7 @@ impl MatroidGuess {
         let cas: Vec<_> = self.a.iter().collect();
         for i in 0..cas.len() {
             for j in (i + 1)..cas.len() {
-                if metric.dist(res.get(*cas[i].1), res.get(*cas[j].1)) <= delta * self.gamma / 2.0 {
+                if metric.dist(res.get(cas[i].1), res.get(cas[j].1)) <= delta * self.gamma / 2.0 {
                     return Err(format!(
                         "c-attractors {} and {} within δγ/2",
                         cas[i].0, cas[j].0
@@ -346,9 +351,9 @@ impl MatroidGuess {
             }
         }
         for (&a, times) in &self.reps {
-            if !self.a.contains_key(&a) {
+            let Some(attractor) = self.a.get(a) else {
                 return Err(format!("rep set for dead attractor {a}"));
-            }
+            };
             let mut colors = Vec::with_capacity(times.len());
             for &time in times {
                 match self.r.get(&time) {
@@ -360,7 +365,7 @@ impl MatroidGuess {
                         let Some(rp) = res.try_get(e.id) else {
                             return Err(format!("R entry {time} holds a collected id"));
                         };
-                        let d = metric.dist(rp, res.get(self.a[&a]));
+                        let d = metric.dist(rp, res.get(attractor));
                         if d > delta * self.gamma / 2.0 + 1e-9 {
                             return Err(format!(
                                 "rep {time} at distance {d} > δγ/2 from attractor {a}"

@@ -373,14 +373,9 @@ where
                 .as_ref()
                 .map(|c| c.point.payload_bytes())
                 .unwrap_or(0);
-        arena_stats(
-            self.guesses
-                .values()
-                .map(|g| (g.state.gamma(), g.state.stored_points())),
-            &self.store,
-        )
-        .with_auxiliary(self.diam.stored_points() + self.last.is_some() as usize)
-        .with_extra_payload_bytes(aux_bytes)
+        arena_stats(self.guesses.values().map(|g| &g.state), &self.store)
+            .with_auxiliary(self.diam.stored_points() + self.last.is_some() as usize)
+            .with_extra_payload_bytes(aux_bytes)
     }
 
     fn stored_points(&self) -> usize {

@@ -95,7 +95,7 @@ use crate::robust::RobustFairSlidingWindow;
 use fairsw_matroid::{
     AnyMatroid, Group, LaminarMatroid, Matroid, PartitionMatroid, UniformMatroid,
 };
-use fairsw_metric::{Colored, EuclidPoint, Metric, PointId, PointStore};
+use fairsw_metric::{ArrivalBlock, Colored, EuclidPoint, Metric, PointId, PointStore};
 use fairsw_stream::{AnchorState, DiameterEstimator, DiameterState, Lattice, WindowedMinLattice};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
@@ -293,8 +293,8 @@ fn check_increasing(prev: &mut Option<u64>, t: u64, what: &str) -> Result<(), Sn
 /// Every key of `live` must own a slot in `table`: a flipped key byte
 /// can desynchronize two maps while each stays well-formed, and the
 /// insert path would panic on the next arrival.
-fn require_keys<'a, V>(
-    live: impl IntoIterator<Item = &'a u64>,
+fn require_keys<V>(
+    live: impl IntoIterator<Item = u64>,
     table: &HashMap<u64, V>,
     what: &str,
 ) -> Result<(), SnapshotError> {
@@ -421,10 +421,10 @@ fn decode_gamma(input: &mut &[u8]) -> Result<f64, SnapshotError> {
 // arena section. The decoders resolve times through the re-interned
 // arena and re-acquire one reference per entry.
 
-fn encode_times(out: &mut Vec<u8>, map: &BTreeMap<u64, PointId>) {
-    put_len(out, map.len());
-    for t in map.keys() {
-        put_u64(out, *t);
+fn encode_times(out: &mut Vec<u8>, times: impl ExactSizeIterator<Item = u64>) {
+    put_len(out, times.len());
+    for t in times {
+        put_u64(out, t);
     }
 }
 
@@ -439,6 +439,21 @@ fn decode_times<P>(
         Ok((t, arena.acquire(t)?))
     })
     .map(|entries| entries.into_iter().collect())
+}
+
+/// Decodes the c-attractors `A` (encoded as plain times) into a block,
+/// staging each attractor's head for `metric` as its insertion did, so
+/// a restored guess scans exactly like one that never stopped.
+fn decode_block<M: Metric>(
+    input: &mut &[u8],
+    arena: &mut Arena<M::Point>,
+    metric: &M,
+) -> Result<ArrivalBlock, SnapshotError> {
+    let mut block = ArrivalBlock::new();
+    for (t, id) in decode_times(input, arena)? {
+        block.push(t, id, metric.block_coords(arena.store.get(id)));
+    }
+    Ok(block)
 }
 
 fn encode_pairs(out: &mut Vec<u8>, map: &HashMap<u64, u64>) {
@@ -550,10 +565,10 @@ fn decode_entries<P>(
 
 fn encode_guess(out: &mut Vec<u8>, g: &GuessState) {
     put_f64(out, g.gamma);
-    encode_times(out, &g.av);
+    encode_times(out, g.av.keys().copied());
     encode_pairs(out, &g.rep_of);
-    encode_times(out, &g.rv);
-    encode_times(out, &g.a);
+    encode_times(out, g.rv.keys().copied());
+    encode_times(out, g.a.times());
     encode_color_tables(out, &g.reps_c);
     encode_entries(out, &g.r);
 }
@@ -561,22 +576,23 @@ fn encode_guess(out: &mut Vec<u8>, g: &GuessState) {
 /// A guess encodes at minimum its `γ` plus six length prefixes.
 const GUESS_MIN_BYTES: usize = 56;
 
-fn decode_guess<P>(
+fn decode_guess<M: Metric>(
     input: &mut &[u8],
-    arena: &mut Arena<P>,
+    arena: &mut Arena<M::Point>,
+    metric: &M,
     ncolors: usize,
 ) -> Result<GuessState, SnapshotError> {
     let mut g = GuessState::new(decode_gamma(input)?);
     g.av = decode_times(input, arena)?;
     g.rep_of = decode_pairs(input)?;
     g.rv = decode_times(input, arena)?;
-    g.a = decode_times(input, arena)?;
+    g.a = decode_block(input, arena, metric)?;
     g.reps_c = decode_color_tables(input, ncolors)?;
     g.r = decode_entries(input, arena, ncolors)?;
     // Every live v-attractor owns a representative slot and every live
     // c-attractor a repsC table.
-    require_keys(g.av.keys(), &g.rep_of, "live v-attractor")?;
-    require_keys(g.a.keys(), &g.reps_c, "live c-attractor")?;
+    require_keys(g.av.keys().copied(), &g.rep_of, "live v-attractor")?;
+    require_keys(g.a.times(), &g.reps_c, "live c-attractor")?;
     Ok(g)
 }
 
@@ -589,7 +605,7 @@ fn encode_guesses<G>(out: &mut Vec<u8>, guesses: &[G], encode: impl Fn(&mut Vec<
 
 fn encode_compact_guess(out: &mut Vec<u8>, g: &CompactGuess) {
     put_f64(out, g.gamma);
-    encode_times(out, &g.av);
+    encode_times(out, g.av.keys().copied());
     encode_color_tables(out, &g.reps_v);
     encode_entries(out, &g.rv);
 }
@@ -605,7 +621,7 @@ fn decode_compact_guess<P>(
     g.rv = decode_entries(input, arena, ncolors)?;
     // Attractors and representative tables are born and retired
     // together.
-    require_keys(g.av.keys(), &g.reps_v, "live v-attractor")?;
+    require_keys(g.av.keys().copied(), &g.reps_v, "live v-attractor")?;
     if g.reps_v.len() != g.av.len() {
         return Err(invalid("representative table of a retired attractor"));
     }
@@ -614,28 +630,29 @@ fn decode_compact_guess<P>(
 
 fn encode_matroid_guess(out: &mut Vec<u8>, g: &MatroidGuess) {
     put_f64(out, g.gamma);
-    encode_times(out, &g.av);
+    encode_times(out, g.av.keys().copied());
     encode_pairs(out, &g.rep_of);
-    encode_times(out, &g.rv);
-    encode_times(out, &g.a);
+    encode_times(out, g.rv.keys().copied());
+    encode_times(out, g.a.times());
     encode_time_lists(out, &g.reps);
     encode_entries(out, &g.r);
 }
 
-fn decode_matroid_guess<P>(
+fn decode_matroid_guess<M: Metric>(
     input: &mut &[u8],
-    arena: &mut Arena<P>,
+    arena: &mut Arena<M::Point>,
+    metric: &M,
     ncolors: usize,
 ) -> Result<MatroidGuess, SnapshotError> {
     let mut g = MatroidGuess::new(decode_gamma(input)?);
     g.av = decode_times(input, arena)?;
     g.rep_of = decode_pairs(input)?;
     g.rv = decode_times(input, arena)?;
-    g.a = decode_times(input, arena)?;
+    g.a = decode_block(input, arena, metric)?;
     g.reps = decode_time_lists(input)?;
     g.r = decode_entries(input, arena, ncolors)?;
-    require_keys(g.av.keys(), &g.rep_of, "live v-attractor")?;
-    require_keys(g.a.keys(), &g.reps, "live c-attractor")?;
+    require_keys(g.av.keys().copied(), &g.rep_of, "live v-attractor")?;
+    require_keys(g.a.times(), &g.reps, "live c-attractor")?;
     // The circuit-eviction path reads each tracked representative's
     // color out of R and evicts it from there. So each one sits in R
     // under its own attractor, once, and no older than that attractor:
@@ -778,7 +795,7 @@ where
         let cfg = decode_config(&mut input)?;
         let mut arena = decode_arena(&mut input, cfg.window_size)?;
         let guesses = decode_list(&mut input, GUESS_MIN_BYTES, |i| {
-            decode_guess(i, &mut arena, cfg.num_colors())
+            decode_guess(i, &mut arena, &metric, cfg.num_colors())
         })?;
         expect_end(input)?;
         Ok(FairSlidingWindow {
@@ -823,7 +840,7 @@ where
         let z = z as usize;
         let mut arena = decode_arena(&mut input, cfg.window_size)?;
         let guesses = decode_list(&mut input, GUESS_MIN_BYTES, |i| {
-            decode_guess(i, &mut arena, cfg.num_colors())
+            decode_guess(i, &mut arena, &metric, cfg.num_colors())
         })?;
         expect_end(input)?;
         Ok(RobustFairSlidingWindow {
@@ -929,7 +946,7 @@ where
         let levels = decode_list(&mut input, 12 + GUESS_MIN_BYTES, |i| {
             let level = take_i32(i)?;
             let born = take_u64(i)?;
-            let state = decode_guess(i, &mut arena, cfg.num_colors())?;
+            let state = decode_guess(i, &mut arena, &metric, cfg.num_colors())?;
             // Levels ascend, and each guess is the lattice value of its
             // level — the range adjustment re-derives γ from the level.
             if prev_level.is_some_and(|p| level <= p)
@@ -1020,7 +1037,7 @@ where
         let mut arena = decode_arena(&mut input, window as usize)?;
         // γ plus seven length prefixes.
         let guesses = decode_list(&mut input, 56, |i| {
-            decode_matroid_guess(i, &mut arena, matroid.num_colors())
+            decode_matroid_guess(i, &mut arena, &metric, matroid.num_colors())
         })?;
         expect_end(input)?;
         Ok(MatroidSlidingWindow {

@@ -60,7 +60,7 @@ pub const LANES: usize = 8;
 /// and a group never straddles two lines.
 #[derive(Clone, Copy, Debug, Default)]
 #[repr(C, align(64))]
-struct Lane64([f64; LANES]);
+pub(crate) struct Lane64(pub(crate) [f64; LANES]);
 
 /// One `f32` lane group ([`LANES`] values, 32 bytes — exactly one
 /// 256-bit vector register), aligned to its own size.

@@ -29,8 +29,13 @@
 //!   allocation-free, and the [`Metric`] block kernels
 //!   ([`Metric::dist_one_to_many`], [`Metric::dist_many_to_many`])
 //!   evaluate distances over the staged block bit-identically to scalar
-//!   [`Metric::dist`].
+//!   [`Metric::dist`];
+//! * [`block`] — the [`ArrivalBlock`] that holds a guess's c-attractors
+//!   in arrival order with their leading coordinates staged in tiles, so
+//!   [`Metric::scan_within`] streams the Update's radius tests instead
+//!   of resolving every attractor through the arena.
 
+pub mod block;
 pub mod compact;
 pub mod doubling;
 pub mod kernel;
@@ -41,6 +46,7 @@ pub mod simd;
 pub mod stats;
 pub mod store;
 
+pub use block::ArrivalBlock;
 pub use compact::{CompactEuclidean, CompactPoint, Q8Euclidean, Q8Point};
 pub use kernel::{
     packing_scan, CoresetView, DistScratch, KernelMode, ScratchPool, SoaBlock, SoaBlock32, LANES,

@@ -1,8 +1,10 @@
 //! The distance-oracle trait and the concrete metrics used in the
 //! experiments.
 
+use crate::block::ArrivalBlock;
 use crate::kernel::{CoresetView, KernelMode, SoaBlock32};
 use crate::point::EuclidPoint;
+use crate::store::Resolver;
 
 /// A metric space: a point type plus a distance oracle.
 ///
@@ -14,10 +16,17 @@ use crate::point::EuclidPoint;
 /// tests in this crate spot-check them for the bundled metrics.
 ///
 /// Every method but [`dist`](Self::dist) has a default. Of the bundled
-/// metrics, [`Euclidean`] overrides [`within`](Self::within) with an
-/// early-exit scan and [`Relaxed`] forwards it to the wrapped metric;
-/// `Manhattan`, `Chebyshev`, `Angular` and the compact point metrics keep
-/// its default.
+/// metrics, [`Euclidean`] overrides the Update radius tests:
+/// [`within`](Self::within) with an early-exit scan,
+/// [`block_coords`](Self::block_coords) to stage its leading
+/// coordinates in an [`ArrivalBlock`], and
+/// [`scan_within`](Self::scan_within) with a tile kernel over them.
+/// [`Relaxed`] forwards all three to the wrapped metric. `Manhattan`,
+/// `Chebyshev`, `Angular` and the compact point metrics keep the three
+/// defaults. The four coordinate metrics and the compact ones override
+/// [`stage`](Self::stage) and the batched kernels
+/// ([`dist_one_to_many`](Self::dist_one_to_many),
+/// [`dist_one_to_many_exact`](Self::dist_one_to_many_exact)).
 pub trait Metric: Clone {
     /// The point type of the space. The [`PointFootprint`] bound feeds
     /// the byte-level memory accounting; its default implementation
@@ -41,6 +50,41 @@ pub trait Metric: Clone {
     #[inline]
     fn within(&self, a: &Self::Point, b: &Self::Point, r: f64) -> bool {
         self.dist(a, b) <= r
+    }
+
+    /// The coordinates an [`ArrivalBlock`] row stages for `p`, or `None`
+    /// to stage nothing. The block keeps the first 8 of them (one
+    /// early-exit chunk of [`Euclidean::within`]) for
+    /// [`scan_within`](Self::scan_within) to stream; it stages only rows
+    /// of one dimension.
+    ///
+    /// The default stages nothing, so a block holds arrival times and
+    /// arena ids only, and the default scan never reads a head.
+    #[inline]
+    fn block_coords<'p>(&self, p: &'p Self::Point) -> Option<&'p [f64]> {
+        let _ = p;
+        None
+    }
+
+    /// Calls `hit(row)`, oldest row first, for every row of `block`
+    /// whose point lies within `r` of `p`: exactly the rows for which
+    /// `self.within(p, q, r)` holds, where `q` is the payload behind the
+    /// row's arena id in `res`. This is the Update's scan of a guess's
+    /// c-attractors, and the same contract as `within` binds it: an
+    /// override may decide a row from its staged head, but never
+    /// differently from `within`.
+    ///
+    /// The default calls `within` once per row through the resolver.
+    #[inline]
+    fn scan_within(
+        &self,
+        p: &Self::Point,
+        block: &ArrivalBlock,
+        res: Resolver<'_, Self::Point>,
+        r: f64,
+        hit: impl FnMut(usize),
+    ) {
+        scan_each(self, p, block, res, r, hit);
     }
 
     /// Distance from `p` to the closest of `set`, or `f64::INFINITY` when
@@ -263,6 +307,23 @@ impl<M: Metric> Metric for Relaxed<M> {
     #[inline]
     fn within(&self, a: &M::Point, b: &M::Point, r: f64) -> bool {
         self.inner.within(a, b, r)
+    }
+
+    #[inline]
+    fn block_coords<'p>(&self, p: &'p M::Point) -> Option<&'p [f64]> {
+        self.inner.block_coords(p)
+    }
+
+    #[inline]
+    fn scan_within(
+        &self,
+        p: &M::Point,
+        block: &ArrivalBlock,
+        res: Resolver<'_, M::Point>,
+        r: f64,
+        hit: impl FnMut(usize),
+    ) {
+        self.inner.scan_within(p, block, res, r, hit);
     }
 
     #[inline]
@@ -544,8 +605,121 @@ fn euclid_exact<M: Metric<Point = EuclidPoint>>(
 }
 
 /// Coordinates between two early-exit checks of [`Euclidean`]'s
-/// [`Metric::within`]: one 64-byte cache line of `f64`s.
-const WITHIN_CHUNK: usize = 8;
+/// [`Metric::within`]: one 64-byte cache line of `f64`s. An
+/// [`ArrivalBlock`] stages this many per row.
+pub(crate) const WITHIN_CHUNK: usize = 8;
+
+/// The default [`Metric::scan_within`]: one [`Metric::within`] per row,
+/// resolved through the arena.
+fn scan_each<M: Metric>(
+    metric: &M,
+    p: &M::Point,
+    block: &ArrivalBlock,
+    res: Resolver<'_, M::Point>,
+    r: f64,
+    mut hit: impl FnMut(usize),
+) {
+    for (row, (_, id)) in block.iter().enumerate() {
+        if metric.within(p, res.get(id), r) {
+            hit(row);
+        }
+    }
+}
+
+/// The root tests of [`Euclidean`]'s block scan as plain comparisons of
+/// a sum of squares `acc` (`+0.0` or more, `+∞`, or NaN) with bounds
+/// computed once per radius `r`.
+///
+/// A correctly rounded `sqrt` is monotone, so the `acc >= 0` with
+/// `sqrt(acc) <= r` form a prefix `[0, le]` of the non-negative doubles
+/// and `+∞`. [`new`](Self::new) finds `le`, the largest such double, by
+/// stepping from `r * r` (within a few ulps of it) until `sqrt(le) <=
+/// r < sqrt(le.next_up())`, and sets it to `-∞` when the prefix is empty
+/// (a negative or NaN `r`; `-0.0` keeps `acc = 0`). Then, for every
+/// `acc`:
+///
+/// * `sqrt(acc) <= r` iff `acc <= le`: both fail for a NaN `acc`;
+///   otherwise this is the definition of `le`.
+/// * `acc > r * r && sqrt(acc) > r`, `within`'s exit test, iff `acc >
+///   exit` with `exit = max(r * r, le)`, or NaN for a NaN `r`: for a
+///   NaN `acc` or a NaN `r` both sides fail; otherwise `sqrt(acc) > r`
+///   is `!(acc <= le)`, that is `acc > le`.
+///
+/// The unit tests check both equivalences at the bounds and their
+/// neighbours for radii across the whole range of doubles.
+#[derive(Clone, Copy, Debug)]
+struct SqrtBounds {
+    le: f64,
+    exit: f64,
+}
+
+impl SqrtBounds {
+    fn new(r: f64) -> Self {
+        let le = if r.is_nan() || r < 0.0 {
+            f64::NEG_INFINITY
+        } else if r == f64::INFINITY {
+            f64::INFINITY
+        } else {
+            let mut le = r * r;
+            while le.sqrt() > r {
+                le = le.next_down();
+            }
+            while le.next_up().sqrt() <= r {
+                le = le.next_up();
+            }
+            le
+        };
+        let exit = if r.is_nan() {
+            f64::NAN
+        } else {
+            (r * r).max(le)
+        };
+        SqrtBounds { le, exit }
+    }
+
+    /// `acc.sqrt() <= r`.
+    #[inline(always)]
+    fn root_le(self, acc: f64) -> bool {
+        acc <= self.le
+    }
+
+    /// `acc > r * r && acc.sqrt() > r`.
+    #[inline(always)]
+    fn exits(self, acc: f64) -> bool {
+        acc > self.exit
+    }
+}
+
+/// [`Euclidean`]'s `within` scan over `xs` and `ys`, truncated to the
+/// shorter and longer than one chunk, resumed at coordinate `start` (a
+/// chunk boundary no later than the last checked one) from the partial
+/// sum `acc` of the coordinates before it. Every chunk before the last
+/// may end the scan; the last (possibly partial) one always runs to the
+/// final comparison.
+fn within_from(xs: &[f64], ys: &[f64], start: usize, mut acc: f64, r: f64) -> bool {
+    let n = xs.len().min(ys.len());
+    let checked = (n - 1) / WITHIN_CHUNK * WITHIN_CHUNK;
+    let (head_x, tail_x) = xs[start..n].split_at(checked - start);
+    let (head_y, tail_y) = ys[start..n].split_at(checked - start);
+    let r2 = r * r;
+    for (cx, cy) in head_x
+        .chunks_exact(WITHIN_CHUNK)
+        .zip(head_y.chunks_exact(WITHIN_CHUNK))
+    {
+        for (x, y) in cx.iter().zip(cy) {
+            let d = x - y;
+            acc += d * d;
+        }
+        if acc > r2 && acc.sqrt() > r {
+            return false;
+        }
+    }
+    for (x, y) in tail_x.iter().zip(tail_y) {
+        let d = x - y;
+        acc += d * d;
+    }
+    acc.sqrt() <= r
+}
 
 /// The Euclidean (L2) metric on [`EuclidPoint`]s. Used by every experiment
 /// in the paper.
@@ -587,34 +761,92 @@ impl Metric for Euclidean {
     fn within(&self, a: &EuclidPoint, b: &EuclidPoint, r: f64) -> bool {
         let (xs, ys) = (a.coords(), b.coords());
         debug_assert_eq!(xs.len(), ys.len(), "dimension mismatch");
-        let n = xs.len().min(ys.len());
-        if n <= WITHIN_CHUNK {
+        if xs.len().min(ys.len()) <= WITHIN_CHUNK {
             return self.dist(a, b) <= r;
         }
-        // Every chunk before `checked` may end the scan; the rest (one
-        // chunk, possibly partial) always runs to the final comparison.
-        let checked = (n - 1) / WITHIN_CHUNK * WITHIN_CHUNK;
-        let (head_x, tail_x) = xs[..n].split_at(checked);
-        let (head_y, tail_y) = ys[..n].split_at(checked);
-        let r2 = r * r;
-        let mut acc = 0.0;
-        for (cx, cy) in head_x
-            .chunks_exact(WITHIN_CHUNK)
-            .zip(head_y.chunks_exact(WITHIN_CHUNK))
-        {
-            for (x, y) in cx.iter().zip(cy) {
-                let d = x - y;
-                acc += d * d;
+        within_from(xs, ys, 0, 0.0, r)
+    }
+
+    #[inline]
+    fn block_coords<'p>(&self, p: &'p EuclidPoint) -> Option<&'p [f64]> {
+        Some(p.coords())
+    }
+
+    /// [`within`](Metric::within) over a whole block, a tile of 8 rows
+    /// at a time. Each row's staged head holds its first `h = min(dim,
+    /// 8)` coordinates, bit copies of the payload's; the tile kernel
+    /// sums their squared differences from the arrival's in
+    /// [`dist`](Metric::dist)'s order (`d = p_i - q_i`, `acc += d * d`,
+    /// ascending `i`, from `0.0`), one accumulator per lane, with no
+    /// fused or reassociated operation. So each lane's sum `acc` has
+    /// the bits `within` holds after its first chunk, and the row is
+    /// decided as `within` decides it there:
+    ///
+    /// * a point of at most 8 coordinates is whole in its head, and is a
+    ///   hit iff `sqrt(acc) <= r`, which is `dist(p, q) <= r`;
+    /// * a longer one is a miss iff `acc > r * r && sqrt(acc) > r`,
+    ///   `within`'s exit test after the first chunk; every other row
+    ///   resumes `within`'s scan on the arena payload from coordinate 8
+    ///   with that partial sum.
+    ///
+    /// Both tests compare `acc` with bounds computed once per scan
+    /// (`SqrtBounds`) instead of taking a root per lane; they decide
+    /// every `acc` as the root does. Lanes without a row are computed
+    /// and discarded. A block that stages nothing, or rows of another
+    /// dimension than `p`'s, takes the default per-row path, which
+    /// calls `within` and so truncates mismatched dimensions as `dist`
+    /// does.
+    fn scan_within(
+        &self,
+        p: &EuclidPoint,
+        block: &ArrivalBlock,
+        res: Resolver<'_, EuclidPoint>,
+        r: f64,
+        mut hit: impl FnMut(usize),
+    ) {
+        let q = p.coords();
+        let whole = q.len() <= WITHIN_CHUNK;
+        let head = &q[..q.len().min(WITHIN_CHUNK)];
+        let bounds = SqrtBounds::new(r);
+        let staged = block.for_each_tile(q.len(), |lanes, row, groups| {
+            let mut acc = [0.0f64; LANES];
+            for (&qd, group) in head.iter().zip(groups) {
+                for (a, &x) in acc.iter_mut().zip(&group.0) {
+                    let d = qd - x;
+                    *a += d * d;
+                }
             }
-            if acc > r2 && acc.sqrt() > r {
-                return false;
+            // Bit `j` set: lane `j` may be a hit.
+            let mut open = 0u32;
+            for (j, &a) in acc.iter().enumerate() {
+                let maybe = if whole {
+                    bounds.root_le(a)
+                } else {
+                    !bounds.exits(a)
+                };
+                open |= (maybe as u32) << j;
             }
+            open &= (1u32 << lanes.end) - (1u32 << lanes.start);
+            while open != 0 {
+                let lane = open.trailing_zeros() as usize;
+                open &= open - 1;
+                let row = row + lane - lanes.start;
+                if whole
+                    || within_from(
+                        q,
+                        res.get(block.id(row)).coords(),
+                        WITHIN_CHUNK,
+                        acc[lane],
+                        r,
+                    )
+                {
+                    hit(row);
+                }
+            }
+        });
+        if !staged {
+            scan_each(self, p, block, res, r, hit);
         }
-        for (x, y) in tail_x.iter().zip(tail_y) {
-            let d = x - y;
-            acc += d * d;
-        }
-        acc.sqrt() <= r
     }
 
     #[inline]
@@ -915,7 +1147,66 @@ mod tests {
     metric_axiom_tests!(manhattan_axioms, Manhattan);
     metric_axiom_tests!(chebyshev_axioms, Chebyshev);
 
+    /// Asserts that [`SqrtBounds`] decides `acc` as the roots do, for
+    /// sums of squares at and around both bounds and `r * r`.
+    fn check_sqrt_bounds(r: f64) {
+        let b = SqrtBounds::new(r);
+        let mut accs = vec![
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for x in [b.le, b.exit, r * r, r.abs()] {
+            accs.extend([x, x.next_up(), x.next_down()]);
+        }
+        for acc in accs.into_iter().filter(|a| a.is_nan() || *a >= 0.0) {
+            assert_eq!(b.root_le(acc), acc.sqrt() <= r, "r = {r:e}, acc = {acc:e}");
+            assert_eq!(
+                b.exits(acc),
+                acc > r * r && acc.sqrt() > r,
+                "r = {r:e}, acc = {acc:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn sqrt_bounds_decide_like_the_root_at_the_edges() {
+        for r in [
+            0.0,
+            -0.0,
+            5e-324,
+            1e-200,
+            1e-160,
+            f64::MIN_POSITIVE,
+            0.1,
+            0.5,
+            1.0,
+            2.0,
+            3.0,
+            1e10,
+            1.340_780_792_994_259_6e154,
+            1e200,
+            f64::MAX,
+            f64::INFINITY,
+            -5e-324,
+            -1.0,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            check_sqrt_bounds(r);
+        }
+    }
+
     proptest! {
+        #[test]
+        fn sqrt_bounds_decide_like_the_root(mantissa in 1.0..2.0f64, exp in -1074i32..1024) {
+            check_sqrt_bounds(mantissa * 2f64.powi(exp));
+        }
+
         #[test]
         fn norm_ordering(a in arb_point(6), b in arb_point(6)) {
             // L∞ ≤ L2 ≤ L1 for any pair of points.

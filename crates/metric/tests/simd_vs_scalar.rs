@@ -35,13 +35,17 @@
 //! The Update radius test `Metric::within(a, b, r)` has no tolerance at
 //! all: under every bundled metric it must decide exactly as
 //! `dist(a, b) <= r`, including the Euclidean early exit on these same
-//! overflowing and subnormal coordinates.
+//! overflowing and subnormal coordinates. The block scan
+//! `Metric::scan_within` over an `ArrivalBlock` must report exactly the
+//! rows `within` accepts, in order, whatever the block's push and pop
+//! history.
 
 use fairsw_metric::{
-    Angular, Chebyshev, CompactEuclidean, CompactPoint, CoresetView, EuclidPoint, Euclidean,
-    Exactness, Manhattan, Metric, Q8Euclidean, Q8Point, Relaxed,
+    Angular, ArrivalBlock, Chebyshev, CompactEuclidean, CompactPoint, CoresetView, EuclidPoint,
+    Euclidean, Exactness, Manhattan, Metric, PointId, PointStore, Q8Euclidean, Q8Point, Relaxed,
 };
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// Dimensions covering every tile shape: sub-lane, exact-lane, lane+1,
 /// and wide blocks with and without a padded tail (LANES = 8).
@@ -313,6 +317,216 @@ fn within_truncates_mismatched_dimensions_like_dist() {
                 d <= r,
                 "dims {la}/{lb}: within(r = {r:e}) disagrees with dist = {d:e}"
             );
+        }
+    }
+}
+
+/// Euclidean distance with every other method at its default: `within`
+/// is `dist <= r`, and its blocks stage nothing, so its scan is the
+/// per-row reference path.
+#[derive(Clone, Copy, Debug, Default)]
+struct DefaultOnly;
+
+impl Metric for DefaultOnly {
+    type Point = EuclidPoint;
+
+    fn dist(&self, a: &EuclidPoint, b: &EuclidPoint) -> f64 {
+        Euclidean.dist(a, b)
+    }
+}
+
+/// One step of a block's history.
+#[derive(Clone, Copy, Debug)]
+enum BlockOp {
+    /// Append the next point.
+    Push,
+    /// Window expiry of the oldest row.
+    Expire,
+    /// Cleanup: drop every row older than the one at this position.
+    DropBefore(usize),
+}
+
+fn block_ops() -> impl Strategy<Value = Vec<BlockOp>> {
+    // The vendored proptest shim's prop_oneof is unweighted; skew toward
+    // pushes by repeating them, so blocks grow across several tiles.
+    let op = prop_oneof![
+        Just(BlockOp::Push),
+        Just(BlockOp::Push),
+        Just(BlockOp::Push),
+        Just(BlockOp::Push),
+        Just(BlockOp::Expire),
+        (0usize..24).prop_map(BlockOp::DropBefore),
+    ];
+    proptest::collection::vec(op, 1..64)
+}
+
+/// [`coord`] plus NaN and both infinities.
+fn block_coord() -> impl Strategy<Value = f64> {
+    (0u32..40, coord()).prop_map(|(sel, x)| match sel {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => x,
+    })
+}
+
+/// Dimensions 1–64, with the one-chunk edges 8, 9, 16 and 17 drawn as
+/// often as the whole range.
+fn block_dims() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        1usize..65,
+        Just(8usize),
+        Just(9usize),
+        Just(16usize),
+        Just(17usize)
+    ]
+}
+
+/// Asserts that `metric.scan_within` over `block` reports exactly the
+/// rows `within` accepts, in order, for `within_is_dist_le_r`'s radii
+/// around the distance to the oldest, middle and newest rows.
+fn scan_matches_within<M: Metric<Point = EuclidPoint>>(
+    metric: &M,
+    block: &ArrivalBlock,
+    store: &PointStore<EuclidPoint>,
+    p: &EuclidPoint,
+) -> Result<(), TestCaseError> {
+    let res = store.resolver();
+    let mut radii = vec![0.0, -0.0, -1.0, f64::INFINITY, f64::NAN];
+    if !block.is_empty() {
+        for row in [0, block.len() / 2, block.len() - 1] {
+            let d = metric.dist(p, res.get(block.id(row)));
+            radii.extend([d, d.next_up(), d.next_down(), d / 2.0, 2.0 * d]);
+        }
+    }
+    for r in radii {
+        let mut hits = Vec::new();
+        metric.scan_within(p, block, res, r, |row| hits.push(row));
+        let expected: Vec<usize> = (0..block.len())
+            .filter(|&row| metric.within(p, res.get(block.id(row)), r))
+            .collect();
+        prop_assert_eq!(
+            &hits,
+            &expected,
+            "dim {}, {} rows, r = {:e}",
+            p.dim(),
+            block.len(),
+            r
+        );
+    }
+    Ok(())
+}
+
+/// Replays `ops` on a block staged for `metric` and on a plain model of
+/// its rows, checking the rows and the scan after every step.
+fn drive_block<M: Metric<Point = EuclidPoint>>(
+    metric: &M,
+    ops: &[BlockOp],
+    rows: &[Vec<f64>],
+    p: &EuclidPoint,
+) -> Result<(), TestCaseError> {
+    let mut store = PointStore::new();
+    let mut block = ArrivalBlock::new();
+    let mut model: VecDeque<(u64, PointId)> = VecDeque::new();
+    let mut next = 0usize;
+    for &op in ops {
+        match op {
+            BlockOp::Push => {
+                let t = next as u64 + 1;
+                let point = EuclidPoint::new(rows[next % rows.len()].clone());
+                next += 1;
+                let id = store.insert(t, point);
+                block.push(t, id, metric.block_coords(store.get(id)));
+                model.push_back((t, id));
+            }
+            BlockOp::Expire => {
+                if let Some(&(t, id)) = model.front() {
+                    prop_assert_eq!(block.remove_front(t), Some(id));
+                    model.pop_front();
+                }
+            }
+            BlockOp::DropBefore(at) => {
+                let cut = model.get(at).map_or(u64::MAX, |&(t, _)| t);
+                let mut dropped = Vec::new();
+                block.drop_before(cut, |t, id| dropped.push((t, id)));
+                let kept = model.iter().take_while(|&&(t, _)| t < cut).count();
+                let expected: Vec<(u64, PointId)> = model.drain(..kept).collect();
+                prop_assert_eq!(dropped, expected);
+            }
+        }
+        prop_assert!(
+            block.iter().eq(model.iter().copied()),
+            "rows diverged from the model"
+        );
+        scan_matches_within(metric, &block, &store, p)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // The block scan reports exactly the rows `within` accepts, in
+    // arrival order, across pushes, expiries and prefix drops that cross
+    // tile boundaries, for the Euclidean tile kernel, its `Relaxed`
+    // forwarding in both modes, and the default per-row scan.
+    #[test]
+    fn scan_within_is_within_per_row(
+        case in block_dims().prop_flat_map(|d| (
+            proptest::collection::vec(proptest::collection::vec(block_coord(), d), 1..48),
+            proptest::collection::vec(block_coord(), d),
+        )),
+        ops in block_ops(),
+    ) {
+        let (rows, p) = case;
+        let p = EuclidPoint::new(p);
+        drive_block(&Euclidean, &ops, &rows, &p)?;
+        drive_block(&Relaxed::exact(Euclidean), &ops, &rows, &p)?;
+        drive_block(&Relaxed::new(Euclidean, Exactness::Approx { epsilon: 0.05 }), &ops, &rows, &p)?;
+        drive_block(&DefaultOnly, &ops, &rows, &p)?;
+    }
+}
+
+// Release builds skip `within`'s dimension `debug_assert`, so a block
+// scan must also decide mismatched dimensions exactly as `within`: an
+// arrival of another dimension than the staged rows', and a block whose
+// rows disagree, both go through `within` row by row.
+#[cfg(not(debug_assertions))]
+#[test]
+fn scan_within_truncates_mismatched_dimensions_like_within() {
+    let point = |dim: usize, scale: f64| {
+        EuclidPoint::new((0..dim).map(|i| scale * i as f64).collect::<Vec<f64>>())
+    };
+    for (rows, arrival) in [
+        (vec![9, 9, 9], 17),
+        (vec![17; 12], 9),
+        (vec![54; 20], 25),
+        (vec![3, 3], 20),
+        (vec![8; 10], 9),
+        (vec![9, 16, 9, 54], 16),
+        (vec![20, 3, 20], 3),
+    ] {
+        let mut store = PointStore::new();
+        let mut block = ArrivalBlock::new();
+        for (i, &dim) in rows.iter().enumerate() {
+            let id = store.insert(i as u64 + 1, point(dim, 40.0 - i as f64));
+            block.push(i as u64 + 1, id, Euclidean.block_coords(store.get(id)));
+        }
+        let p = point(arrival, 0.75);
+        let res = store.resolver();
+        for row in 0..block.len() {
+            let d = Euclidean.dist(&p, res.get(block.id(row)));
+            for r in [d, d.next_up(), d.next_down(), d / 2.0, 2.0 * d] {
+                let mut hits = Vec::new();
+                Euclidean.scan_within(&p, &block, res, r, |row| hits.push(row));
+                let expected: Vec<usize> = (0..block.len())
+                    .filter(|&i| Euclidean.within(&p, res.get(block.id(i)), r))
+                    .collect();
+                assert_eq!(
+                    hits, expected,
+                    "rows {rows:?}, arrival {arrival}, r = {r:e}"
+                );
+            }
         }
     }
 }
