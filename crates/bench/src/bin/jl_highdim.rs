@@ -16,14 +16,15 @@
 //!
 //! Results land in `BENCH_jl.json` (section `jl_highdim` via
 //! [`merge_json_section`]). Outside smoke mode the 1024→64 lane gates:
-//! projected queries ≥ 3× faster than raw, radius ratio ≤ 1.25.
+//! projected queries ≥ 3× faster than raw, radius ratio ≤ 1.25. A run
+//! that fails a gate writes nothing.
 //!
 //! `FAIRSW_BENCH_SMOKE=1` shrinks everything for a CI bitrot check
 //! (timing and ratio informational, the preimage answer-check still
 //! binds). Scaling knobs: `FAIRSW_WINDOW`, `FAIRSW_STREAM`,
 //! `FAIRSW_QUERY_REPS`.
 
-use fairsw_bench::{caps_for, env_usize, fmt_duration, merge_json_section};
+use fairsw_bench::{caps_for, env_usize, exit_if_gates_failed, fmt_duration, merge_json_section};
 use fairsw_core::{EngineBuilder, SlidingWindowClustering, WindowEngine};
 use fairsw_datasets::{embedding_drift, Dataset, EmbeddingDriftParams};
 use fairsw_metric::{
@@ -236,6 +237,29 @@ fn main() {
         }
     }
 
+    // The acceptance gate: at 1024→64 the projected queries must be at
+    // least 3x cheaper while the raw-space radius stays within 1.25x.
+    if !smoke {
+        let gate = lanes
+            .iter()
+            .find(|l| l.raw_dim == 1024 && l.proj_dim == Some(64))
+            .expect("1024->64 lane present outside smoke");
+        let mut failures = Vec::new();
+        if gate.speedup < 3.0 {
+            failures.push(format!(
+                "1024->64 query speedup {:.2}x below the 3x target",
+                gate.speedup
+            ));
+        }
+        if gate.ratio > 1.25 {
+            failures.push(format!(
+                "1024->64 radius ratio {:.3} above the 1.25 limit",
+                gate.ratio
+            ));
+        }
+        exit_if_gates_failed(&failures);
+    }
+
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"bench\": \"jl_highdim\",\n  \"window\": {window},\n  \"stream\": {stream},\n  \"query_reps\": {reps},\n  \"smoke\": {smoke},\n  \"isa\": \"{}\",\n  \"speedup_target\": 3.0,\n  \"radius_ratio_limit\": 1.25,\n  \"lanes\": [\n",
@@ -258,32 +282,5 @@ fn main() {
     match merge_json_section(path, "jl_highdim", &json) {
         Ok(()) => println!("\nwrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    // The acceptance gate: at 1024→64 the projected queries must be at
-    // least 3x cheaper while the raw-space radius stays within 1.25x.
-    if !smoke {
-        let gate = lanes
-            .iter()
-            .find(|l| l.raw_dim == 1024 && l.proj_dim == Some(64))
-            .expect("1024->64 lane present outside smoke");
-        let mut failed = false;
-        if gate.speedup < 3.0 {
-            eprintln!(
-                "1024->64 query speedup {:.2}x below the 3x target",
-                gate.speedup
-            );
-            failed = true;
-        }
-        if gate.ratio > 1.25 {
-            eprintln!(
-                "1024->64 radius ratio {:.3} above the 1.25 limit",
-                gate.ratio
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
     }
 }

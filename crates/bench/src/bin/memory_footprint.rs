@@ -13,8 +13,11 @@
 //!   refactor* resident copy count), plus their bytes;
 //! * **copy_reduction** — entries ÷ payloads, the factor the arena
 //!   shaves off resident point copies;
-//! * **byte_reduction** — per-entry-copy bytes ÷ (handle + payload)
-//!   bytes, the end-to-end resident-byte win.
+//! * **staged_bytes** — coordinates the c-attractor blocks stage beside
+//!   their handles for the Update's radius scan (each attractor's first
+//!   `min(dim, 16)`);
+//! * **byte_reduction** — per-entry-copy bytes ÷ resident bytes (handle
+//!   + payload + staged), the end-to-end resident-byte win.
 //!
 //! Two precision configs run: the fig1 default (`β = 2, δ = 1`) and the
 //! accuracy-oriented fine lattice (`β = 0.25, δ = 0.5`, both inside the
@@ -27,11 +30,11 @@
 //! Every lane is answer-checked: a second engine drives the same stream
 //! through the batched path and must produce a bit-identical solution,
 //! so the memory win demonstrably does not change query results. Results
-//! land in `BENCH_memory.json`.
+//! land in `BENCH_memory.json`; a run whose gates fail writes nothing.
 //!
 //! Scaling knobs: `FAIRSW_STREAM`, `FAIRSW_WINDOW` (fig1 default 2 000).
 
-use fairsw_bench::{caps_for, env_usize, standard_datasets};
+use fairsw_bench::{caps_for, env_usize, exit_if_gates_failed, standard_datasets};
 use fairsw_core::{
     EngineBuilder, SlidingWindowClustering, Solution, VariantSpec, WindowEngine, HANDLE_ENTRY_BYTES,
 };
@@ -130,6 +133,7 @@ struct LaneReport {
     payloads: usize,
     payload_bytes: usize,
     handle_bytes: usize,
+    staged_bytes: usize,
     copy_reduction: f64,
     byte_reduction: f64,
     guess: f64,
@@ -207,7 +211,7 @@ fn main() {
 
     println!("Memory footprint: resident point copies, window={window} stream={stream}");
     println!(
-        "{:<13} {:<9} {:<10} {:>8} {:>9} {:>12} {:>12} {:>8} {:>8}",
+        "{:<13} {:<9} {:<10} {:>8} {:>9} {:>12} {:>12} {:>12} {:>8} {:>8}",
         "config",
         "dataset",
         "variant",
@@ -215,6 +219,7 @@ fn main() {
         "payloads",
         "payload_B",
         "handle_B",
+        "staged_B",
         "copies÷",
         "bytes÷"
     );
@@ -259,7 +264,7 @@ fn main() {
                 let pre_bytes = (entries * per_point) as f64;
                 let byte_reduction = pre_bytes / stats.resident_bytes().max(1) as f64;
                 println!(
-                    "{:<13} {:<9} {:<10} {:>8} {:>9} {:>12} {:>12} {:>8.2} {:>8.2}",
+                    "{:<13} {:<9} {:<10} {:>8} {:>9} {:>12} {:>12} {:>12} {:>8.2} {:>8.2}",
                     config,
                     ds.name,
                     name,
@@ -267,6 +272,7 @@ fn main() {
                     stats.unique_points,
                     stats.payload_bytes,
                     stats.handle_bytes(),
+                    stats.staged_bytes,
                     copy_reduction,
                     byte_reduction
                 );
@@ -278,6 +284,7 @@ fn main() {
                     payloads: stats.unique_points,
                     payload_bytes: stats.payload_bytes,
                     handle_bytes: stats.handle_bytes(),
+                    staged_bytes: stats.staged_bytes,
                     copy_reduction,
                     byte_reduction,
                     guess: sol.guess,
@@ -367,13 +374,24 @@ fn main() {
         "compact mirror payload reduction, covtype/higgs: min {min_mirror:.2}x (target >= 1.8x); contracts hold: {mirrors_ok}"
     );
 
+    let mut failures = Vec::new();
+    if min_mirror < 1.8 {
+        failures.push(format!(
+            "compact mirror payload reduction {min_mirror:.2}x below the 1.8x target"
+        ));
+    }
+    if !mirrors_ok {
+        failures.push("a compact-mirror lane violated its answer contract".to_string());
+    }
+    exit_if_gates_failed(&failures);
+
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"bench\": \"memory_footprint\",\n  \"window\": {window},\n  \"stream\": {stream},\n  \"handle_entry_bytes\": {HANDLE_ENTRY_BYTES},\n  \"min_fixed_copy_reduction\": {min_reduction:.3},\n  \"min_mirror_payload_reduction\": {min_mirror:.3},\n  \"mirror_payload_reduction_target\": 1.8,\n  \"mirror_contracts_ok\": {mirrors_ok},\n  \"lanes\": [\n"
     ));
     for (i, r) in reports.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"config\": \"{}\", \"dataset\": \"{}\", \"variant\": \"{}\", \"entries\": {}, \"payloads\": {}, \"payload_bytes\": {}, \"handle_bytes\": {}, \"copy_reduction\": {:.3}, \"byte_reduction\": {:.3}, \"guess\": {:.6}, \"coreset_radius\": {:.6}}}{}\n",
+            "    {{\"config\": \"{}\", \"dataset\": \"{}\", \"variant\": \"{}\", \"entries\": {}, \"payloads\": {}, \"payload_bytes\": {}, \"handle_bytes\": {}, \"staged_bytes\": {}, \"copy_reduction\": {:.3}, \"byte_reduction\": {:.3}, \"guess\": {:.6}, \"coreset_radius\": {:.6}}}{}\n",
             r.config,
             r.dataset,
             r.variant,
@@ -381,6 +399,7 @@ fn main() {
             r.payloads,
             r.payload_bytes,
             r.handle_bytes,
+            r.staged_bytes,
             r.copy_reduction,
             r.byte_reduction,
             r.guess,
@@ -409,14 +428,5 @@ fn main() {
     match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    if min_mirror < 1.8 {
-        eprintln!("compact mirror payload reduction {min_mirror:.2}x below the 1.8x target");
-        std::process::exit(1);
-    }
-    if !mirrors_ok {
-        eprintln!("a compact-mirror lane violated its answer contract");
-        std::process::exit(1);
     }
 }

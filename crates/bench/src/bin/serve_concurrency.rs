@@ -23,14 +23,15 @@
 //! **Gate**: outside smoke mode (`FAIRSW_BENCH_SMOKE=1`) the p99 at the
 //! largest lane (≥1k connections) must stay within **2×** the 16-
 //! connection p99 — idle connections are allowed to cost a poll-set
-//! scan, not a regime change. Violations exit non-zero.
+//! scan, not a regime change. Violations exit non-zero and write
+//! nothing.
 //!
 //! Results land in the `serve_concurrency` section of
 //! `BENCH_serve.json` (beside `serve_throughput`'s ingest sweep).
 //! Scaling knobs: `FAIRSW_WINDOW`, `FAIRSW_SERVE_REQUESTS`,
 //! `FAIRSW_SERVE_TENANTS`, `FAIRSW_SERVE_SHARDS`.
 
-use fairsw_bench::{env_usize, fmt_duration, merge_json_section};
+use fairsw_bench::{env_usize, exit_if_gates_failed, fmt_duration, merge_json_section};
 use fairsw_core::SlidingWindowClustering;
 use fairsw_datasets::rng::seeded;
 use fairsw_serve::loadgen::{burst_config, percentile, workload, zipf_pick, Client};
@@ -349,6 +350,12 @@ fn main() {
         top.connections,
         fmt_duration(top.p99),
     );
+    if !smoke && ratio > 2.0 {
+        exit_if_gates_failed(&[format!(
+            "FAIL: p99 at {} connections is {ratio:.2}x the {}-connection p99 (limit 2.0x)",
+            top.connections, base.connections
+        )]);
+    }
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
@@ -380,13 +387,5 @@ fn main() {
     match merge_json_section(path, "serve_concurrency", &json) {
         Ok(()) => println!("wrote the serve_concurrency section of {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    if !smoke && ratio > 2.0 {
-        eprintln!(
-            "FAIL: p99 at {} connections is {ratio:.2}x the {}-connection p99 (limit 2.0x)",
-            top.connections, base.connections
-        );
-        std::process::exit(1);
     }
 }

@@ -155,6 +155,20 @@ pub fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// Checks a bench binary's gates before it writes its results: when
+/// any failed, prints each failure and exits with status 1, so a
+/// failing run never replaces a committed `BENCH_*.json`.
+pub fn exit_if_gates_failed(failures: &[String]) {
+    if failures.is_empty() {
+        return;
+    }
+    for f in failures {
+        eprintln!("{f}");
+    }
+    eprintln!("{} gate(s) failed; no results written", failures.len());
+    std::process::exit(1);
+}
+
 /// Merges `section` — a JSON value, typically an object literal — into
 /// the top-level JSON object stored at `path` under `key`, creating the
 /// file as `{"key": section}` when it is missing and replacing any

@@ -169,7 +169,7 @@ pub struct MemoryStats {
     /// variant folds in).
     pub payload_bytes: usize,
     /// Bytes of coordinates staged beside the handles: each
-    /// c-attractor's first `min(dim, 8)` coordinates, which the Update's
+    /// c-attractor's first `min(dim, 16)` coordinates, which the Update's
     /// radius scan streams instead of resolving the arena (zero for
     /// metrics that stage none).
     pub staged_bytes: usize,

@@ -8,7 +8,7 @@
 //! time chasing payload pointers. An [`ArrivalBlock`] keeps `A` as rows
 //! of `(arrival time, arena id)` in arrival order. For metrics that
 //! stage one ([`Metric::block_coords`]), each row also holds the
-//! attractor's first 8 coordinates, the first early-exit chunk of
+//! attractor's first 16 coordinates, the first two early-exit chunks of
 //! [`Euclidean::within`](crate::Euclidean), in [`LANES`]-row
 //! coordinate-major tiles: the [`SoaBlock`](crate::SoaBlock) layout.
 //! [`Metric::scan_within`] streams those tiles and reads the arena only
@@ -29,7 +29,7 @@
 //! keep its peak allocation.
 
 use crate::kernel::{Lane64, LANES};
-use crate::metric::WITHIN_CHUNK;
+use crate::metric::STAGED;
 use crate::store::PointId;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -51,7 +51,7 @@ pub struct ArrivalBlock {
     rows: VecDeque<(u64, PointId)>,
     /// The dimension of every row while the heads are staged.
     dim: Option<usize>,
-    /// Per tile, `min(dim, 8)` lane groups: group `d` holds coordinate
+    /// Per tile, `min(dim, 16)` lane groups: group `d` holds coordinate
     /// `d` of the tile's rows, one lane per row. The last tile's unused
     /// lanes are zero.
     heads: VecDeque<Lane64>,
@@ -108,7 +108,7 @@ impl ArrivalBlock {
         Some(self.rows[row].1)
     }
 
-    /// Bytes of staged coordinates: `min(dim, 8)` `f64`s per row, `0`
+    /// Bytes of staged coordinates: `min(dim, 16)` `f64`s per row, `0`
     /// when nothing is staged. The allocation adds at most two partly
     /// filled tiles and the buffers' spare capacity.
     pub fn staged_bytes(&self) -> usize {
@@ -151,8 +151,8 @@ impl ArrivalBlock {
                 .extend(std::iter::repeat_n(Lane64::default(), width));
         }
         let base = self.heads.len() - width;
-        for (d, &x) in coords[..width].iter().enumerate() {
-            self.heads[base + d].0[slot % LANES] = x;
+        for (group, &x) in self.heads.range_mut(base..).zip(coords) {
+            group.0[slot % LANES] = x;
         }
     }
 
@@ -214,10 +214,14 @@ impl ArrivalBlock {
 
     /// Walks the staged heads tile by tile, oldest first, when the rows
     /// have dimension `dim`: `tile(lanes, row, groups)` gets the tile's
-    /// `min(dim, 8)` lane groups (group `d` holds coordinate `d`, one
+    /// `min(dim, 16)` lane groups (group `d` holds coordinate `d`, one
     /// lane per row) and the lanes holding rows, whose first lane holds
     /// row `row`. Returns `false`, visiting nothing, when nothing is
     /// staged or the rows have another dimension.
+    ///
+    /// Always inlined, so a kernel built for a wider ISA compiles the
+    /// walk, and an `#[inline(always)]` `tile`, for that ISA too.
+    #[inline(always)]
     pub(crate) fn for_each_tile(
         &self,
         dim: usize,
@@ -228,8 +232,9 @@ impl ArrivalBlock {
         }
         let width = head_width(dim);
         let (front, back) = self.heads.as_slices();
-        // A tile that straddles the ring's wrap is copied out whole.
-        let mut straddle = [Lane64::default(); WITHIN_CHUNK];
+        // A tile that straddles the ring's wrap is copied out whole; the
+        // buffer is filled only then, so a scan pays nothing for it.
+        let mut straddle;
         let end = self.skip + self.rows.len();
         for base in (0..end).step_by(LANES) {
             let at = base / LANES * width;
@@ -239,6 +244,7 @@ impl ArrivalBlock {
                 &back[at - front.len()..at - front.len() + width]
             } else {
                 let split = front.len() - at;
+                straddle = [Lane64::default(); STAGED];
                 straddle[..split].copy_from_slice(&front[at..]);
                 straddle[split..width].copy_from_slice(&back[..width - split]);
                 &straddle[..width]
@@ -253,7 +259,7 @@ impl ArrivalBlock {
 /// Coordinates staged per row of dimension `dim`.
 #[inline]
 fn head_width(dim: usize) -> usize {
-    dim.min(WITHIN_CHUNK)
+    dim.min(STAGED)
 }
 
 #[cfg(test)]
@@ -304,11 +310,58 @@ mod tests {
         for (row, head) in heads(&block).iter().enumerate() {
             let i = block.time(row) as usize - 1;
             assert_eq!(block.id(row), ids[i]);
-            assert_eq!(head[..], coords(i)[..8]);
+            assert_eq!(head[..], coords(i)[..]);
         }
         assert_eq!(block.get(20), Some(ids[19]));
         assert_eq!(block.get(5), None);
-        assert_eq!(block.staged_bytes(), 29 * 64);
+        assert_eq!(block.staged_bytes(), 29 * 88);
+    }
+
+    #[test]
+    fn long_rows_stage_two_chunks() {
+        let ids = ids(9);
+        let mut block = ArrivalBlock::new();
+        let coords = |i: usize| -> Vec<f64> { (0..54).map(|d| (i * 100 + d) as f64).collect() };
+        for (i, &id) in ids.iter().enumerate() {
+            block.push(i as u64 + 1, id, Some(&coords(i)));
+        }
+        for (row, head) in heads(&block).iter().enumerate() {
+            assert_eq!(head[..], coords(row)[..STAGED]);
+        }
+        assert_eq!(block.staged_bytes(), 9 * 128);
+    }
+
+    #[test]
+    fn a_wide_tile_straddles_the_ring_wrap() {
+        // A tile buffer grown for 7-coordinate rows keeps a capacity of
+        // 56 lane groups, no multiple of 16, once the block empties; a
+        // ring of at most 16 wide rows then fits in it and wraps inside
+        // a tile of 16 groups, which the walk must copy out whole.
+        let ids = ids(64 + 300);
+        let mut block = ArrivalBlock::new();
+        for (i, &id) in ids.iter().enumerate().take(64) {
+            block.push(i as u64 + 1, id, Some(&[i as f64; 7]));
+        }
+        block.drop_before(u64::MAX, |_, _| {});
+        let coords = |i: usize| -> Vec<f64> { (0..24).map(|d| (i * 100 + d) as f64).collect() };
+        let mut straddled = 0;
+        for (i, &id) in ids.iter().enumerate().skip(64) {
+            block.push(i as u64 + 1, id, Some(&coords(i)));
+            if block.len() > 16 {
+                let oldest = block.time(0);
+                assert!(block.remove_front(oldest).is_some());
+            }
+            let (front, back) = block.heads.as_slices();
+            if !back.is_empty() && !front.len().is_multiple_of(STAGED) {
+                straddled += 1;
+            }
+            let expected: Vec<Vec<f64>> = block
+                .times()
+                .map(|t| coords(t as usize - 1)[..STAGED].to_vec())
+                .collect();
+            assert_eq!(heads(&block), expected, "after arrival {i}");
+        }
+        assert!(straddled > 0, "no tile straddled the wrap");
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub trait Metric: Clone {
     }
 
     /// The coordinates an [`ArrivalBlock`] row stages for `p`, or `None`
-    /// to stage nothing. The block keeps the first 8 of them (one
-    /// early-exit chunk of [`Euclidean::within`]) for
+    /// to stage nothing. The block keeps the first 16 of them (two
+    /// early-exit chunks of [`Euclidean::within`]) for
     /// [`scan_within`](Self::scan_within) to stream; it stages only rows
     /// of one dimension.
     ///
@@ -402,7 +402,7 @@ fn stage_euclid(view: &mut CoresetView<EuclidPoint>) {
     }
 }
 
-use crate::kernel::LANES;
+use crate::kernel::{Lane64, LANES};
 
 /// The scalar fallback body shared by the hand-tuned kernels for views
 /// the metric did not stage (ragged dimensions).
@@ -605,9 +605,14 @@ fn euclid_exact<M: Metric<Point = EuclidPoint>>(
 }
 
 /// Coordinates between two early-exit checks of [`Euclidean`]'s
-/// [`Metric::within`]: one 64-byte cache line of `f64`s. An
-/// [`ArrivalBlock`] stages this many per row.
+/// [`Metric::within`]: one 64-byte cache line of `f64`s.
 pub(crate) const WITHIN_CHUNK: usize = 8;
+
+/// Coordinates an [`ArrivalBlock`] stages per row, and so the most
+/// [`Euclidean`]'s block scan decides from a row's head: `within`'s
+/// first two chunks. One chunk leaves a fifth to a quarter of a 32-D
+/// stream's rows open; a third gains nothing measurable.
+pub(crate) const STAGED: usize = 2 * WITHIN_CHUNK;
 
 /// The default [`Metric::scan_within`]: one [`Metric::within`] per row,
 /// resolved through the arena.
@@ -648,9 +653,9 @@ fn scan_each<M: Metric>(
 /// The unit tests check both equivalences at the bounds and their
 /// neighbours for radii across the whole range of doubles.
 #[derive(Clone, Copy, Debug)]
-struct SqrtBounds {
-    le: f64,
-    exit: f64,
+pub(crate) struct SqrtBounds {
+    pub(crate) le: f64,
+    pub(crate) exit: f64,
 }
 
 impl SqrtBounds {
@@ -688,6 +693,24 @@ impl SqrtBounds {
     fn exits(self, acc: f64) -> bool {
         acc > self.exit
     }
+
+    /// The lanes of `acc` whose row may still be a hit, as a bit mask:
+    /// after the point's `last` chunk those with `sqrt <= r`, after an
+    /// earlier one those `within`'s exit test keeps. [`scan_tiles`]'s
+    /// reference step.
+    #[inline(always)]
+    pub(crate) fn open_lanes(acc: &[f64; LANES], bounds: SqrtBounds, last: bool) -> u32 {
+        let mut mask = 0u32;
+        for (j, &a) in acc.iter().enumerate() {
+            let open = if last {
+                bounds.root_le(a)
+            } else {
+                !bounds.exits(a)
+            };
+            mask |= (open as u32) << j;
+        }
+        mask
+    }
 }
 
 /// [`Euclidean`]'s `within` scan over `xs` and `ys`, truncated to the
@@ -719,6 +742,95 @@ fn within_from(xs: &[f64], ys: &[f64], start: usize, mut acc: f64, r: f64) -> bo
         acc += d * d;
     }
     acc.sqrt() <= r
+}
+
+/// [`Euclidean`]'s block scan: calls `hit(row)`, oldest first, for
+/// every row of `block` whose payload `y` has `within(q, y, r)`, or
+/// returns `false`, deciding nothing, when `block` stages no rows of
+/// `q`'s dimension `n`.
+///
+/// Each row's staged head holds its first `min(n, 16)` coordinates,
+/// bit copies of the payload's. The kernel sums their squared
+/// differences from `q`'s in [`dist`](Metric::dist)'s order (`d = q_i -
+/// y_i`, `acc += d * d`, ascending `i`, from `0.0`), one accumulator per
+/// lane of a tile, with no fused or reassociated operation, so after
+/// each 8-coordinate chunk a lane holds the bits `within` holds there,
+/// and the row is decided as `within` decides it:
+///
+/// * `n <= 8`: the row is a hit iff `sqrt(acc) <= r` after chunk 1,
+///   which is `dist(q, y) <= r`;
+/// * `8 < n <= 16`: `within`'s exit test (`acc > r * r && sqrt(acc) >
+///   r`) after chunk 1 rules the row out; otherwise it is a hit iff
+///   `sqrt(acc) <= r` after chunk 2, the last;
+/// * `n > 16`: the exit test after chunk 1 and after chunk 2 rules the
+///   row out, since `within` exits after every chunk but the last, and
+///   every row still open resumes `within`'s scan on the arena payload
+///   at coordinate 16 with its partial sum.
+///
+/// Chunk 2 is read only for tiles with a lane still open after chunk 1.
+/// Both tests compare `acc` with bounds computed once per scan
+/// ([`SqrtBounds`]) instead of taking a root per lane; they decide
+/// every `acc` as the root does, and a NaN sum neither exits nor hits.
+/// Lanes without a row are computed and discarded.
+///
+/// The lane work is two steps, passed in so that each ISA brings its
+/// own: `add_squares(acc, q, groups)` adds `(q_d - x)^2` to each lane's
+/// sum for every lane group `d` of `groups`, in ascending `d`, and
+/// `open_lanes(acc, bounds, last)` is [`SqrtBounds::open_lanes`]. The
+/// plain loops [`add_squares`] and [`SqrtBounds::open_lanes`] are the
+/// reference; a vector step must perform each lane's operations in
+/// their order, with no fused multiply-add. Always inlined, with its
+/// per-tile closure, so each leg compiles all of it for its ISA.
+#[inline(always)]
+pub(crate) fn scan_tiles(
+    q: &[f64],
+    block: &ArrivalBlock,
+    res: Resolver<'_, EuclidPoint>,
+    r: f64,
+    mut hit: impl FnMut(usize),
+    add_squares: impl Fn(&mut [f64; LANES], &[f64], &[Lane64]),
+    open_lanes: impl Fn(&[f64; LANES], SqrtBounds, bool) -> u32,
+) -> bool {
+    let n = q.len();
+    let bounds = SqrtBounds::new(r);
+    block.for_each_tile(
+        n,
+        #[inline(always)]
+        |lanes, row, groups| {
+            let (first, second) = groups.split_at(groups.len().min(WITHIN_CHUNK));
+            let mut acc = [0.0f64; LANES];
+            add_squares(&mut acc, q, first);
+            // Bit `j` set: lane `j` holds a row that may be a hit.
+            let live = (1u32 << lanes.end) - (1u32 << lanes.start);
+            let mut open = live & open_lanes(&acc, bounds, n <= WITHIN_CHUNK);
+            if n > WITHIN_CHUNK && open != 0 {
+                add_squares(&mut acc, &q[WITHIN_CHUNK..], second);
+                open &= open_lanes(&acc, bounds, n <= STAGED);
+            }
+            while open != 0 {
+                let lane = open.trailing_zeros() as usize;
+                open &= open - 1;
+                let row = row + lane - lanes.start;
+                if n <= STAGED
+                    || within_from(q, res.get(block.id(row)).coords(), STAGED, acc[lane], r)
+                {
+                    hit(row);
+                }
+            }
+        },
+    )
+}
+
+/// Adds `(q_d - x)^2` to each lane's sum for every lane group `d` of
+/// `groups`, in ascending `d`: [`scan_tiles`]'s reference step.
+#[inline(always)]
+pub(crate) fn add_squares(acc: &mut [f64; LANES], q: &[f64], groups: &[Lane64]) {
+    for (&qd, group) in q.iter().zip(groups) {
+        for (a, &x) in acc.iter_mut().zip(&group.0) {
+            let d = qd - x;
+            *a += d * d;
+        }
+    }
 }
 
 /// The Euclidean (L2) metric on [`EuclidPoint`]s. Used by every experiment
@@ -773,29 +885,12 @@ impl Metric for Euclidean {
     }
 
     /// [`within`](Metric::within) over a whole block, a tile of 8 rows
-    /// at a time. Each row's staged head holds its first `h = min(dim,
-    /// 8)` coordinates, bit copies of the payload's; the tile kernel
-    /// sums their squared differences from the arrival's in
-    /// [`dist`](Metric::dist)'s order (`d = p_i - q_i`, `acc += d * d`,
-    /// ascending `i`, from `0.0`), one accumulator per lane, with no
-    /// fused or reassociated operation. So each lane's sum `acc` has
-    /// the bits `within` holds after its first chunk, and the row is
-    /// decided as `within` decides it there:
-    ///
-    /// * a point of at most 8 coordinates is whole in its head, and is a
-    ///   hit iff `sqrt(acc) <= r`, which is `dist(p, q) <= r`;
-    /// * a longer one is a miss iff `acc > r * r && sqrt(acc) > r`,
-    ///   `within`'s exit test after the first chunk; every other row
-    ///   resumes `within`'s scan on the arena payload from coordinate 8
-    ///   with that partial sum.
-    ///
-    /// Both tests compare `acc` with bounds computed once per scan
-    /// (`SqrtBounds`) instead of taking a root per lane; they decide
-    /// every `acc` as the root does. Lanes without a row are computed
-    /// and discarded. A block that stages nothing, or rows of another
-    /// dimension than `p`'s, takes the default per-row path, which
-    /// calls `within` and so truncates mismatched dimensions as `dist`
-    /// does.
+    /// at a time, by a tile kernel built for the active ISA (AVX2 where
+    /// detected) that decides each row exactly as `within` does, mostly
+    /// from the row's staged first 16 coordinates (see `scan_tiles`). A
+    /// block that stages nothing, or rows of another dimension than
+    /// `p`'s, takes the default per-row path, which calls `within` and so
+    /// truncates mismatched dimensions as `dist` does.
     fn scan_within(
         &self,
         p: &EuclidPoint,
@@ -804,47 +899,7 @@ impl Metric for Euclidean {
         r: f64,
         mut hit: impl FnMut(usize),
     ) {
-        let q = p.coords();
-        let whole = q.len() <= WITHIN_CHUNK;
-        let head = &q[..q.len().min(WITHIN_CHUNK)];
-        let bounds = SqrtBounds::new(r);
-        let staged = block.for_each_tile(q.len(), |lanes, row, groups| {
-            let mut acc = [0.0f64; LANES];
-            for (&qd, group) in head.iter().zip(groups) {
-                for (a, &x) in acc.iter_mut().zip(&group.0) {
-                    let d = qd - x;
-                    *a += d * d;
-                }
-            }
-            // Bit `j` set: lane `j` may be a hit.
-            let mut open = 0u32;
-            for (j, &a) in acc.iter().enumerate() {
-                let maybe = if whole {
-                    bounds.root_le(a)
-                } else {
-                    !bounds.exits(a)
-                };
-                open |= (maybe as u32) << j;
-            }
-            open &= (1u32 << lanes.end) - (1u32 << lanes.start);
-            while open != 0 {
-                let lane = open.trailing_zeros() as usize;
-                open &= open - 1;
-                let row = row + lane - lanes.start;
-                if whole
-                    || within_from(
-                        q,
-                        res.get(block.id(row)).coords(),
-                        WITHIN_CHUNK,
-                        acc[lane],
-                        r,
-                    )
-                {
-                    hit(row);
-                }
-            }
-        });
-        if !staged {
+        if !crate::simd::scan_within(p.coords(), block, res, r, &mut hit) {
             scan_each(self, p, block, res, r, hit);
         }
     }

@@ -29,6 +29,13 @@
 //!   both scalar and vector form — bit-identical on every ISA.
 //! * **L2 / angular on SSE2**: multiply-then-add, same as scalar —
 //!   bit-identical.
+//! * **The Update's block scan** (`scan_within`, behind
+//!   [`Euclidean::scan_within`](crate::Euclidean)): its AVX2 leg
+//!   subtracts, multiplies, then adds, and never fuses, so each lane's
+//!   sum has the bits of scalar `dist`'s and every row is decided
+//!   exactly as `within` decides it. It is the one vector kernel that
+//!   also runs in [`Exact`](crate::Exactness::Exact) mode, wherever AVX2
+//!   is detected; elsewhere the same body runs with plain loops.
 //! * **L2 / angular on AVX2+FMA and NEON**: the fused multiply-add
 //!   rounds once where the scalar kernel rounds twice, so results can
 //!   differ by ~1 ulp per accumulation step (relative error around
@@ -44,7 +51,10 @@
 //! as in the scalar kernels; the angular kernels mask zero-norm
 //! candidates to the scalar `0.0` convention.
 
+use crate::block::ArrivalBlock;
 use crate::kernel::{SoaBlock, SoaBlock32, LANES};
+use crate::point::EuclidPoint;
+use crate::store::Resolver;
 use std::sync::OnceLock;
 
 /// The instruction-set path the process-wide kernel dispatch selected.
@@ -259,8 +269,90 @@ fn angular_f32_scalar(q: &[f32], b: &SoaBlock32, out: &mut [f64]) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{SoaBlock, SoaBlock32, LANES};
+    use super::{ArrivalBlock, EuclidPoint, Resolver, SoaBlock, SoaBlock32, LANES};
+    use crate::kernel::Lane64;
+    use crate::metric::SqrtBounds;
     use core::arch::x86_64::*;
+
+    /// The exact block scan [`crate::metric::scan_tiles`], compiled for
+    /// AVX2 with its two lane steps in 4-wide `f64` vectors.
+    ///
+    /// # Safety
+    /// Caller must run with AVX2 available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn scan_within(
+        q: &[f64],
+        block: &ArrivalBlock,
+        res: Resolver<'_, EuclidPoint>,
+        r: f64,
+        hit: impl FnMut(usize),
+    ) -> bool {
+        // Closures, since a `#[target_feature]` function is no `Fn`;
+        // defined here, they inherit AVX2.
+        crate::metric::scan_tiles(
+            q,
+            block,
+            res,
+            r,
+            hit,
+            |acc, q, groups| add_squares(acc, q, groups),
+            |acc, bounds, last| open_lanes(acc, bounds, last),
+        )
+    }
+
+    /// [`crate::metric::add_squares`] two lane halves at a time: per
+    /// lane `d = q_d - x`, then `acc + d * d` with a separate multiply
+    /// and add. `fma` stays off, so each lane rounds as `dist` does.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn add_squares(acc: &mut [f64; LANES], q: &[f64], groups: &[Lane64]) {
+        let p = acc.as_mut_ptr();
+        // SAFETY: `acc` holds `LANES` = 8 `f64`s.
+        let (mut a0, mut a1) = unsafe { (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4))) };
+        for (&qd, group) in q.iter().zip(groups) {
+            let qv = _mm256_set1_pd(qd);
+            let x = group.0.as_ptr();
+            // SAFETY: a lane group is 64-byte aligned and holds 8 `f64`s.
+            let (x0, x1) = unsafe { (_mm256_load_pd(x), _mm256_load_pd(x.add(4))) };
+            let (d0, d1) = (_mm256_sub_pd(qv, x0), _mm256_sub_pd(qv, x1));
+            a0 = _mm256_add_pd(a0, _mm256_mul_pd(d0, d0));
+            a1 = _mm256_add_pd(a1, _mm256_mul_pd(d1, d1));
+        }
+        // SAFETY: as for the loads.
+        unsafe {
+            _mm256_storeu_pd(p, a0);
+            _mm256_storeu_pd(p.add(4), a1);
+        }
+    }
+
+    /// [`SqrtBounds::open_lanes`] with vector compares of the same
+    /// predicates: `acc <= le` ordered, so NaN fails, and `!(acc >
+    /// exit)` unordered, so NaN passes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn open_lanes(acc: &[f64; LANES], bounds: SqrtBounds, last: bool) -> u32 {
+        // SAFETY: `acc` holds `LANES` = 8 `f64`s.
+        let (a0, a1) = unsafe {
+            (
+                _mm256_loadu_pd(acc.as_ptr()),
+                _mm256_loadu_pd(acc.as_ptr().add(4)),
+            )
+        };
+        let (m0, m1) = if last {
+            let le = _mm256_set1_pd(bounds.le);
+            (
+                _mm256_cmp_pd::<_CMP_LE_OQ>(a0, le),
+                _mm256_cmp_pd::<_CMP_LE_OQ>(a1, le),
+            )
+        } else {
+            let exit = _mm256_set1_pd(bounds.exit);
+            (
+                _mm256_cmp_pd::<_CMP_NGT_UQ>(a0, exit),
+                _mm256_cmp_pd::<_CMP_NGT_UQ>(a1, exit),
+            )
+        };
+        (_mm256_movemask_pd(m0) | _mm256_movemask_pd(m1) << 4) as u32
+    }
 
     /// Stores one 8-lane f64 tile result (`r0` = lanes 0–3, `r1` =
     /// lanes 4–7), truncating the padded tail of the last tile.
@@ -864,6 +956,35 @@ dispatch_f64!(
     crate::project::matvec_kernel
 );
 
+/// [`Euclidean::scan_within`](crate::Euclidean)'s exact tile kernel
+/// ([`crate::metric::scan_tiles`]) built for the active ISA: AVX2 where
+/// it was detected, the x86-64 or aarch64 baseline otherwise. Every leg
+/// decides each row exactly as `within`, so it runs in
+/// [`Exact`](crate::Exactness::Exact) mode too.
+pub(crate) fn scan_within(
+    q: &[f64],
+    block: &ArrivalBlock,
+    res: Resolver<'_, EuclidPoint>,
+    r: f64,
+    hit: impl FnMut(usize),
+) -> bool {
+    match active_isa() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active_isa` returns `Isa::Avx2Fma` only after runtime
+        // detection confirmed AVX2; this leg needs nothing else.
+        Isa::Avx2Fma => unsafe { x86::scan_within(q, block, res, r, hit) },
+        _ => crate::metric::scan_tiles(
+            q,
+            block,
+            res,
+            r,
+            hit,
+            crate::metric::add_squares,
+            crate::metric::SqrtBounds::open_lanes,
+        ),
+    }
+}
+
 /// Runtime-dispatched relaxed angular kernel. NEON and SSE2 hosts use
 /// the exact scalar kernel (the angular distance is dominated by the
 /// divides and `atan2`, so the narrow-vector win does not justify a
@@ -924,6 +1045,92 @@ pub(crate) fn angular_f32(q: &[f32], b: &SoaBlock32, out: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Euclidean, Metric, PointStore};
+    use proptest::prelude::*;
+
+    /// Well-scaled coordinates with a sprinkle of NaN, both infinities,
+    /// and values whose squares overflow or underflow: rare enough that
+    /// most rows of 25 coordinates stay finite, so the scans past the
+    /// staged chunks see hits to get right.
+    fn coord() -> impl Strategy<Value = f64> {
+        (0u32..200, -1e3..1e3f64).prop_map(|(sel, x)| match sel {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => 1e200,
+            4 => 1e-310,
+            _ => x,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // `active_isa` is fixed for the life of a process, so dispatch
+        // reaches one leg of the block scan per test run. This calls
+        // the baseline leg and, where AVX2 is detected, the AVX2 leg
+        // directly, on blocks whose oldest rows left (so tiles start
+        // mid-lane), around the one- and two-chunk edges.
+        #[test]
+        fn scan_legs_agree_with_within(
+            case in prop_oneof![
+                1usize..65,
+                Just(8usize),
+                Just(9usize),
+                Just(16usize),
+                Just(17usize),
+                Just(24usize),
+                Just(25usize)
+            ]
+            .prop_flat_map(|d| (
+                proptest::collection::vec(proptest::collection::vec(coord(), d), 1..60),
+                proptest::collection::vec(coord(), d),
+                0usize..12,
+            )),
+        ) {
+            let (rows, q, expired) = case;
+            let mut store = PointStore::new();
+            let mut block = ArrivalBlock::new();
+            for (i, row) in rows.into_iter().enumerate() {
+                let id = store.insert(i as u64 + 1, EuclidPoint::new(row));
+                block.push(i as u64 + 1, id, Euclidean.block_coords(store.get(id)));
+            }
+            for _ in 0..expired.min(block.len() - 1) {
+                block.remove_front(block.time(0));
+            }
+            let res = store.resolver();
+            let p = EuclidPoint::new(q.clone());
+            let mut radii = vec![0.0, -0.0, -1.0, f64::INFINITY, f64::NAN];
+            for row in [0, block.len() / 2, block.len() - 1] {
+                let d = Euclidean.dist(&p, res.get(block.id(row)));
+                radii.extend([d, d.next_up(), d.next_down(), d / 2.0, 2.0 * d]);
+            }
+            for r in radii {
+                let expected: Vec<usize> = (0..block.len())
+                    .filter(|&row| Euclidean.within(&p, res.get(block.id(row)), r))
+                    .collect();
+                let mut hits = Vec::new();
+                prop_assert!(crate::metric::scan_tiles(
+                    &q,
+                    &block,
+                    res,
+                    r,
+                    |row| hits.push(row),
+                    crate::metric::add_squares,
+                    crate::metric::SqrtBounds::open_lanes,
+                ));
+                prop_assert_eq!(&hits, &expected, "baseline leg, dim {}, r = {:e}", q.len(), r);
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    let mut hits = Vec::new();
+                    // SAFETY: AVX2 was detected just above.
+                    let staged = unsafe { x86::scan_within(&q, &block, res, r, |row| hits.push(row)) };
+                    prop_assert!(staged);
+                    prop_assert_eq!(&hits, &expected, "AVX2 leg, dim {}, r = {:e}", q.len(), r);
+                }
+            }
+        }
+    }
 
     #[test]
     fn select_honors_overrides() {

@@ -370,15 +370,17 @@ fn block_coord() -> impl Strategy<Value = f64> {
     })
 }
 
-/// Dimensions 1–64, with the one-chunk edges 8, 9, 16 and 17 drawn as
-/// often as the whole range.
+/// Dimensions 1–64, with the chunk edges 8, 9, 16 and 17 and the
+/// three-chunk points 24 and 25 each drawn as often as the whole range.
 fn block_dims() -> impl Strategy<Value = usize> {
     prop_oneof![
         1usize..65,
         Just(8usize),
         Just(9usize),
         Just(16usize),
-        Just(17usize)
+        Just(17usize),
+        Just(24usize),
+        Just(25usize)
     ]
 }
 
@@ -485,6 +487,42 @@ proptest! {
         drive_block(&Relaxed::new(Euclidean, Exactness::Approx { epsilon: 0.05 }), &ops, &rows, &p)?;
         drive_block(&DefaultOnly, &ops, &rows, &p)?;
     }
+}
+
+// A tile buffer grown for 7-coordinate rows and then emptied keeps a
+// capacity of 56 lane groups, no multiple of 16, so a ring of at most 16
+// wider rows wraps inside a tile of 16 lane groups (the block's unit
+// test `a_wide_tile_straddles_the_ring_wrap` checks that this recipe
+// does). The scan must read such a tile whole, on every leg.
+#[test]
+fn scan_within_reads_wide_tiles_across_the_ring_wrap() -> Result<(), TestCaseError> {
+    let coord = |i: usize, d: usize| match (i * 7 + d * 3) % 97 {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        _ => ((i * 31 + d * 17) as f64 * 0.618_033_988_7).fract() * 4.0,
+    };
+    for dim in [16, 17, 24, 25, 54] {
+        let mut store = PointStore::new();
+        let mut block = ArrivalBlock::new();
+        for t in 1..=64 {
+            let id = store.insert(t, EuclidPoint::new(vec![t as f64; 7]));
+            block.push(t, id, Euclidean.block_coords(store.get(id)));
+        }
+        block.drop_before(u64::MAX, |_, _| {});
+        let p = EuclidPoint::new((0..dim).map(|d| coord(1000, d)).collect::<Vec<f64>>());
+        for i in 64..200 {
+            let t = i as u64 + 1;
+            let point = EuclidPoint::new((0..dim).map(|d| coord(i, d)).collect::<Vec<f64>>());
+            let id = store.insert(t, point);
+            block.push(t, id, Euclidean.block_coords(store.get(id)));
+            if block.len() > 16 {
+                block.remove_front(block.time(0));
+            }
+            scan_matches_within(&Euclidean, &block, &store, &p)?;
+            scan_matches_within(&Relaxed::exact(Euclidean), &block, &store, &p)?;
+        }
+    }
+    Ok(())
 }
 
 // Release builds skip `within`'s dimension `debug_assert`, so a block

@@ -3,7 +3,7 @@
 //! The sliding-window Update tests every arrival against the attractors
 //! of every guess. It asks [`Metric::within`] about each v-attractor,
 //! and [`Metric::scan_within`] about the c-attractors, which each guess
-//! keeps in an [`ArrivalBlock`] that stages every attractor's first 8
+//! keeps in an [`ArrivalBlock`] that stages every attractor's first 16
 //! coordinates ([`Metric::block_coords`]). [`Euclidean`] overrides all
 //! three: `within` with a partial-distance scan that may stop after any
 //! 8-coordinate chunk, and `scan_within` with a tile kernel that decides
@@ -13,12 +13,13 @@
 //! by row, and its `within` is `dist(a, b) <= r`. Both must drive every
 //! variant to the same state.
 //!
-//! The suite streams points of 3, 8, 9, 17, 32 and 54 coordinates into
-//! all five variants under each metric, per point, in batches, and
+//! The suite streams points of 3, 8, 9, 16, 17, 32 and 54 coordinates
+//! into all five variants under each metric, per point, in batches, and
 //! through a snapshot and restore, and compares snapshot bytes and
 //! query replies at several checkpoints. Points of at most 8 coordinates
-//! are decided from their staged heads alone; longer ones can exit early
-//! or continue on the payload. The 32-coordinate drift stream runs a
+//! are decided from their first staged chunk, and points of at most 16
+//! from both; longer ones can exit early after either chunk or continue
+//! on the payload. The 32-coordinate drift stream runs a
 //! window long enough that the smallest guesses hold hundreds of
 //! c-attractors, dozens of tiles, so window expiry retires tiles as it
 //! goes. The other differential suites compare two engines that both
@@ -76,6 +77,7 @@ fn streams() -> Vec<Stream> {
         blob("blobs-d3", 3, 3),
         blob("blobs-d8", 8, 8),
         blob("blobs-d9", 9, 9),
+        blob("blobs-d16", 16, 16),
         blob("blobs-d17", 17, 17),
         Stream {
             name: "covtype-d54",
@@ -174,12 +176,20 @@ fn batched_updates_match_the_default_within() {
                 assert_same_state(&format!("{} batched", s.name), f, r);
             }
         }
-        // The staged side holds coordinates beside its handles (8 per
-        // c-attractor of more than 8 coordinates); the reference stages
-        // none. The drift stream keeps more than 24 tiles of them.
+        // The staged side holds `min(dim, 16)` coordinates beside the
+        // handles of each c-attractor; the reference stages none. The
+        // drift stream keeps more than 24 tiles of 8 rows.
+        let row_bytes = s.points[0].point.dim().min(16) * 8;
         for (f, r) in fast.iter().zip(&reference) {
             let staged = f.memory_stats().staged_bytes;
             assert_eq!(r.memory_stats().staged_bytes, 0, "{}", s.name);
+            assert_eq!(
+                staged % row_bytes,
+                0,
+                "{} {}: {staged} bytes is no whole number of rows",
+                s.name,
+                f.variant_name()
+            );
             if f.variant_name() != "compact" {
                 assert!(
                     staged > 0,
@@ -190,7 +200,7 @@ fn batched_updates_match_the_default_within() {
             }
             if s.name == "drift-d32" && f.variant_name() == "fixed" {
                 assert!(
-                    staged > 24 * 8 * 64,
+                    staged > 24 * 8 * row_bytes,
                     "drift stream staged only {staged} bytes"
                 );
             }
