@@ -15,13 +15,14 @@
 //! loudly. Results land in `BENCH_query.json` with the p50 of both
 //! regimes and the speedup per variant, plus `host_cores` and the kernel
 //! `isa`; outside smoke mode the lane enforces warm ≥ 10× faster than
-//! cold.
+//! cold, and a run that fails it prints each failure, writes nothing and
+//! exits 1.
 //!
 //! `FAIRSW_BENCH_SMOKE=1` shrinks everything for a CI bitrot check
 //! (timing informational, identity still enforced). Scaling knobs:
 //! `FAIRSW_WINDOW`, `FAIRSW_STREAM`, `FAIRSW_QUERY_REPS`, `FAIRSW_DIM`.
 
-use fairsw_bench::{env_usize, fmt_duration};
+use fairsw_bench::{env_usize, exit_if_gates_failed, fmt_duration};
 use fairsw_metric::{active_isa, Colored, EuclidPoint};
 use fairsw_serve::loadgen::{workload, Client};
 use fairsw_serve::percentile::nearest_rank;
@@ -184,6 +185,26 @@ fn main() {
     }
     handle.shutdown();
 
+    // A cache hit skips the shard round-trip and the whole recompute;
+    // at real sizes that is well over an order of magnitude. Smoke runs
+    // use sizes too small for stable timing, so there the ratio is
+    // informational only (identity above is always enforced). A failed
+    // gate writes nothing.
+    if !smoke {
+        let failures: Vec<String> = reports
+            .iter()
+            .filter(|r| r.speedup < 10.0)
+            .map(|r| {
+                format!(
+                    "{}: warm p50 only {:.1}x faster than cold (want >= 10x)",
+                    r.variant, r.speedup
+                )
+            })
+            .collect();
+        exit_if_gates_failed(&failures);
+        println!("warm >= 10x cold: ok on every variant");
+    }
+
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -207,21 +228,5 @@ fn main() {
     match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    // A cache hit skips the shard round-trip and the whole recompute;
-    // at real sizes that is well over an order of magnitude. Smoke runs
-    // use sizes too small for stable timing, so there the ratio is
-    // informational only (identity above is always enforced).
-    if !smoke {
-        for r in &reports {
-            assert!(
-                r.speedup >= 10.0,
-                "{}: warm p50 only {:.1}x faster than cold (want >= 10x)",
-                r.variant,
-                r.speedup
-            );
-        }
-        println!("warm >= 10x cold: ok on every variant");
     }
 }

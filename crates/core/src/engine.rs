@@ -1013,7 +1013,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_default_matches_repeated_insert() {
+    fn insert_batch_matches_repeated_insert() {
         let stream: Vec<_> = (0..90u64)
             .map(|i| cp((i as f64 * 0.324_717_957_2).fract() * 200.0, (i % 2) as u32))
             .collect();

@@ -33,6 +33,24 @@ impl CapacitatedMatching {
 /// `ℓ` colors and `E` edges, the cost is `O(L · E)` — tiny in our use
 /// (`L ≤ k`, `ℓ ≤` number of colors).
 pub fn max_capacitated_matching(caps: &[usize], adj: &[Vec<usize>]) -> CapacitatedMatching {
+    kuhn(caps, adj, false)
+}
+
+/// Whether every left node can be assigned a color: the same answer as
+/// `max_capacitated_matching(caps, adj).is_left_perfect()`, for the
+/// feasibility probes that need only the verdict.
+///
+/// It stops at the first left node without an augmenting path. An
+/// augmenting path moves assigned left nodes to other colors but never
+/// unassigns one, so a node that fails its turn stays unassigned and the
+/// full matching cannot be left-perfect.
+pub fn has_left_perfect_matching(caps: &[usize], adj: &[Vec<usize>]) -> bool {
+    kuhn(caps, adj, true).is_left_perfect()
+}
+
+/// Kuhn's search over the left nodes in index order; with
+/// `stop_at_failure` it returns at the first node left unassigned.
+fn kuhn(caps: &[usize], adj: &[Vec<usize>], stop_at_failure: bool) -> CapacitatedMatching {
     let n_left = adj.len();
     let n_colors = caps.len();
     debug_assert!(
@@ -85,10 +103,13 @@ pub fn max_capacitated_matching(caps: &[usize], adj: &[Vec<usize>]) -> Capacitat
     }
 
     let mut size = 0usize;
+    let mut visited = vec![false; n_colors];
     for u in 0..n_left {
-        let mut visited = vec![false; n_colors];
+        visited.fill(false);
         if try_assign(u, adj, caps, &mut occupants, &mut assigned, &mut visited) {
             size += 1;
+        } else if stop_at_failure {
+            break;
         }
     }
 
@@ -190,6 +211,23 @@ mod tests {
             check_valid(&m, &caps, &adj);
             let brute = brute_force_capacitated_size(&caps, &adj);
             prop_assert_eq!(m.size, brute);
+        }
+
+        #[test]
+        fn early_exit_agrees_with_the_full_matching(
+            caps in proptest::collection::vec(0usize..4, 1..6),
+            adj_raw in proptest::collection::vec(
+                proptest::collection::vec(0usize..6, 0..6), 0..12),
+        ) {
+            // Adjacency lists keep their drawn order and duplicates.
+            let adj: Vec<Vec<usize>> = adj_raw
+                .into_iter()
+                .map(|nb| nb.into_iter().filter(|&c| c < caps.len()).collect())
+                .collect();
+            prop_assert_eq!(
+                has_left_perfect_matching(&caps, &adj),
+                max_capacitated_matching(&caps, &adj).is_left_perfect()
+            );
         }
     }
 }

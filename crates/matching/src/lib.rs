@@ -20,5 +20,5 @@ pub mod brute;
 pub mod capacitated;
 pub mod hopcroft_karp;
 
-pub use capacitated::{max_capacitated_matching, CapacitatedMatching};
+pub use capacitated::{has_left_perfect_matching, max_capacitated_matching, CapacitatedMatching};
 pub use hopcroft_karp::{max_bipartite_matching, BipartiteMatching};

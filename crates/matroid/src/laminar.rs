@@ -9,7 +9,7 @@
 //! maximality, matroid intersection, the generic matroid-center solver)
 //! carries over unchanged.
 
-use crate::Matroid;
+use crate::{with_buffer, Matroid};
 use std::fmt;
 
 /// A capped group of colors.
@@ -155,20 +155,19 @@ impl LaminarMatroid {
         self.num_colors
     }
 
-    /// Independence of a color multiset.
+    /// Independence of a color multiset. Allocation-free up to
+    /// [`INLINE_LEN`](crate::INLINE_LEN) groups.
     pub fn colors_independent(&self, colors: impl IntoIterator<Item = u32>) -> bool {
-        let mut loads = vec![0usize; self.groups.len()];
-        for c in colors {
-            for (gi, g) in self.groups.iter().enumerate() {
-                if g.contains(c) {
-                    loads[gi] += 1;
-                    if loads[gi] > g.cap {
-                        return false;
+        with_buffer(self.groups.len(), |loads: &mut [usize]| {
+            colors.into_iter().all(|c| {
+                self.groups.iter().zip(loads.iter_mut()).all(|(g, load)| {
+                    !g.contains(c) || {
+                        *load += 1;
+                        *load <= g.cap
                     }
-                }
-            }
-        }
-        true
+                })
+            })
+        })
     }
 }
 

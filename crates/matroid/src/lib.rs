@@ -27,6 +27,23 @@ pub use partition::{CapacityError, ColorCounter, PartitionMatroid};
 pub use transversal::TransversalMatroid;
 pub use uniform::UniformMatroid;
 
+/// Elements an independence oracle's per-call buffer holds inline, on
+/// the stack: sets, colors, groups and balls up to this many cost no
+/// allocation. The solvers test sets of at most `rank + 1` elements,
+/// with `rank = Σ kᵢ` a few tens at most; a larger call takes one heap
+/// buffer and answers the same.
+pub const INLINE_LEN: usize = 32;
+
+/// Runs `f` on a buffer of `len` default values: an inline array when
+/// `len <= INLINE_LEN`, a heap vector above that bound.
+pub fn with_buffer<T: Copy + Default, R>(len: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
+    if len <= INLINE_LEN {
+        f(&mut [T::default(); INLINE_LEN][..len])
+    } else {
+        f(&mut vec![T::default(); len])
+    }
+}
+
 /// A matroid over elements of type `E`.
 ///
 /// `I ⊆ 2^X` must satisfy: (a) downward closure — every subset of an
@@ -86,8 +103,12 @@ impl<Inner: Matroid<u32>> Matroid<usize> for OverColors<'_, Inner> {
         if set.iter().any(|&i| i >= self.colors.len()) {
             return false;
         }
-        let cols: Vec<u32> = set.iter().map(|&i| self.colors[i]).collect();
-        self.inner.is_independent(&cols)
+        with_buffer(set.len(), |cols: &mut [u32]| {
+            for (c, &i) in cols.iter_mut().zip(set) {
+                *c = self.colors[i];
+            }
+            self.inner.is_independent(cols)
+        })
     }
 
     fn rank(&self) -> usize {

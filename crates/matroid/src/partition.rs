@@ -1,6 +1,6 @@
 //! The partition matroid encoding the fairness constraint.
 
-use crate::Matroid;
+use crate::{with_buffer, Matroid};
 use std::fmt;
 
 /// Error raised when constructing a [`PartitionMatroid`] from invalid
@@ -72,14 +72,20 @@ impl PartitionMatroid {
     /// Checks independence of a multiset of colors given by an iterator.
     /// This is the form every algorithm actually uses (they carry
     /// `Colored<P>` values and test the color multiset).
+    /// Allocation-free up to [`INLINE_LEN`](crate::INLINE_LEN)
+    /// colors.
     pub fn colors_independent(&self, colors: impl IntoIterator<Item = u32>) -> bool {
-        let mut counter = ColorCounter::new(self.num_colors());
-        for c in colors {
-            if !counter.try_add(c, self) {
-                return false;
-            }
-        }
-        true
+        with_buffer(self.num_colors(), |counts: &mut [usize]| {
+            colors
+                .into_iter()
+                .all(|c| match counts.get_mut(c as usize) {
+                    Some(n) => {
+                        *n += 1;
+                        *n <= self.caps[c as usize]
+                    }
+                    None => false,
+                })
+        })
     }
 }
 

@@ -12,8 +12,8 @@
 
 use fairsw_matroid::axioms::check_all;
 use fairsw_matroid::{
-    max_common_independent, AnyMatroid, Group, LaminarMatroid, Matroid, PartitionMatroid,
-    TransversalMatroid, UniformMatroid,
+    max_common_independent, AnyMatroid, ColorCounter, Group, LaminarMatroid, Matroid, OverColors,
+    PartitionMatroid, TransversalMatroid, UniformMatroid, INLINE_LEN,
 };
 use proptest::prelude::*;
 
@@ -206,5 +206,121 @@ proptest! {
         let s = max_common_independent(n, &m1, &m2);
         prop_assert!(m1.is_independent(&s) && m2.is_independent(&s));
         prop_assert_eq!(s.len(), brute_common(n, &m1, &m2));
+    }
+}
+
+// The oracles keep their per-call buffers inline up to `INLINE_LEN`
+// and on the heap above it. Each must answer exactly like the allocating
+// code it replaced (kept below as references), on both sides of that
+// bound: sizes run to twice it. Each case tests a random set (out-of-
+// range colors and indices included), a set that meets every cap
+// exactly, and that set plus one element of a random color, which
+// breaks the first cap covering that color.
+
+/// Sizes on both sides of the inline bound.
+const SIZES: std::ops::Range<usize> = 1..2 * INLINE_LEN + 8;
+
+/// The allocating partition oracle: one fresh counter per call.
+fn partition_reference(m: &PartitionMatroid, colors: &[u32]) -> bool {
+    let mut counter = ColorCounter::new(m.num_colors());
+    colors.iter().all(|&c| counter.try_add(c, m))
+}
+
+/// The allocating laminar oracle: one fresh load vector per call.
+fn laminar_reference(m: &LaminarMatroid, colors: &[u32]) -> bool {
+    let mut loads = vec![0usize; m.groups().len()];
+    for &c in colors {
+        for (gi, g) in m.groups().iter().enumerate() {
+            if g.colors.contains(&c) {
+                loads[gi] += 1;
+                if loads[gi] > g.cap {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Color `c` repeated `mult[c]` times, for every `c`, then `extra`.
+fn built(mult: &[usize], extra: Option<u32>) -> Vec<u32> {
+    (0..mult.len() as u32)
+        .flat_map(|c| std::iter::repeat_n(c, mult[c as usize]))
+        .chain(extra)
+        .collect()
+}
+
+/// `n` per-color steps in `1..4`, a color below `n`, and a random color
+/// list that reaches two colors past `n`.
+fn sized_case() -> impl Strategy<Value = (Vec<usize>, u32, Vec<u32>)> {
+    SIZES.prop_flat_map(|n| {
+        (
+            proptest::collection::vec(1usize..4, n),
+            0u32..n as u32,
+            proptest::collection::vec(0u32..n as u32 + 2, 0..2 * INLINE_LEN + 8),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn partition_oracle_matches_the_allocating_reference(case in sized_case()) {
+        let (caps, extra, random) = case;
+        let m = PartitionMatroid::new(caps.clone()).unwrap();
+        for set in [random, built(&caps, None), built(&caps, Some(extra))] {
+            prop_assert_eq!(m.is_independent(&set), partition_reference(&m, &set));
+        }
+    }
+
+    #[test]
+    fn laminar_oracle_matches_the_allocating_reference(case in sized_case()) {
+        // A chain of prefixes `{0..=i}` whose caps grow by `steps[i]`:
+        // the tight set fills every prefix to its cap, and the extra
+        // color `c` first breaks the cap of prefix `c`.
+        let (steps, extra, random) = case;
+        let caps: Vec<usize> = steps
+            .iter()
+            .scan(0, |total, &s| {
+                *total += s;
+                Some(*total)
+            })
+            .collect();
+        let m = chain(&caps);
+        for set in [random, built(&steps, None), built(&steps, Some(extra))] {
+            prop_assert_eq!(m.is_independent(&set), laminar_reference(&m, &set));
+        }
+    }
+
+    #[test]
+    fn over_colors_matches_collecting_the_colors(case in sized_case(), kind in 0u8..2) {
+        // Index sets over `n` elements of three colors. The caps are the
+        // color counts of `tight`, `over` appends one more element, and
+        // the random set reaches two indices past the end.
+        let (steps, extra, random) = case;
+        let n = steps.len();
+        let colors: Vec<u32> = (0..n as u32).map(|i| i % 3).collect();
+        let tight: Vec<usize> = (0..n).filter(|&i| steps[i] > 1).collect();
+        let mut counts = [0usize; 3];
+        for &i in &tight {
+            counts[colors[i] as usize] += 1;
+        }
+        let [a, b, c] = counts.map(|c| c.max(1));
+        let inner: AnyMatroid = match kind {
+            0 => PartitionMatroid::new(vec![a, b, c]).unwrap().into(),
+            _ => chain(&[a, a + b, a + b + c]).into(),
+        };
+        let lifted = OverColors::new(&colors, &inner);
+        let reference = |set: &[usize]| {
+            set.iter().all(|&i| i < colors.len())
+                && inner.is_independent(&set.iter().map(|&i| colors[i]).collect::<Vec<u32>>())
+        };
+        let mut over = tight.clone();
+        over.push(extra as usize);
+        let random: Vec<usize> = random.iter().map(|&i| i as usize).collect();
+        for set in [random, tight, over] {
+            prop_assert_eq!(lifted.is_independent(&set), reference(&set));
+        }
     }
 }

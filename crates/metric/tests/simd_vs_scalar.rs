@@ -360,12 +360,24 @@ fn block_ops() -> impl Strategy<Value = Vec<BlockOp>> {
     proptest::collection::vec(op, 1..64)
 }
 
-/// [`coord`] plus NaN and both infinities.
-fn block_coord() -> impl Strategy<Value = f64> {
-    (0u32..40, coord()).prop_map(|(sel, x)| match sel {
-        0 => f64::NAN,
-        1 => f64::INFINITY,
-        2 => f64::NEG_INFINITY,
+/// [`coord`] plus NaN and both infinities, for rows of `dim`
+/// coordinates. A row of more than 16 coordinates resumes on the arena
+/// payload only if its distance is finite and the two staged chunks do
+/// not rule it out, so there every outlier is twenty times rarer (a
+/// coordinate is NaN, infinite or overflowing once in about 115 draws
+/// instead of once in six): most such rows stay finite, and the radii
+/// around row distances make many of them resume.
+fn block_coord(dim: usize) -> impl Strategy<Value = f64> {
+    let rare = if dim > 16 { 20 } else { 1 };
+    (0u32..40 * rare, 0u32..20 * rare, -1e3..1e3f64).prop_map(|(sel, sub, x)| match (sel, sub) {
+        (0, _) => f64::NAN,
+        (1, _) => f64::INFINITY,
+        (2, _) => f64::NEG_INFINITY,
+        (_, 0) => 1e-310,
+        (_, 1) => -2.5e-308,
+        (_, 2) => 0.0,
+        (_, 3) => 1e160,
+        (_, 4) => -3e160,
         _ => x,
     })
 }
@@ -475,8 +487,8 @@ proptest! {
     #[test]
     fn scan_within_is_within_per_row(
         case in block_dims().prop_flat_map(|d| (
-            proptest::collection::vec(proptest::collection::vec(block_coord(), d), 1..48),
-            proptest::collection::vec(block_coord(), d),
+            proptest::collection::vec(proptest::collection::vec(block_coord(d), d), 1..48),
+            proptest::collection::vec(block_coord(d), d),
         )),
         ops in block_ops(),
     ) {

@@ -26,7 +26,7 @@
 //! `coverage + τ ≤ 3r*`.
 
 use crate::{gonzalez_view, validate, FairCenterSolver, FairSolution, Instance, SolveError};
-use fairsw_matching::max_capacitated_matching;
+use fairsw_matching::{has_left_perfect_matching, max_capacitated_matching};
 use fairsw_metric::{Colored, CoresetView, Metric};
 
 /// The Jones fair-center solver (α = 3). Stateless; construct freely.
@@ -130,7 +130,7 @@ impl Jones {
                             .map(|(c, _)| c),
                     );
                 }
-                max_capacitated_matching(caps, &adj[..j]).is_left_perfect()
+                has_left_perfect_matching(caps, &adj[..j])
             };
 
             if !feasible(*cands.last().expect("non-empty"), &mut adj) {

@@ -31,7 +31,7 @@
 //! stick to `Jones`/`ChenEtAl` for plain per-color budgets.
 
 use crate::SolveError;
-use fairsw_matroid::{max_common_independent, Matroid};
+use fairsw_matroid::{max_common_independent, with_buffer, Matroid};
 use fairsw_metric::{CoresetView, Metric};
 
 /// A matroid-center instance: raw points plus an independence oracle over
@@ -63,20 +63,15 @@ struct BallMatroid {
 }
 
 impl Matroid<usize> for BallMatroid {
+    /// Allocation-free up to [`INLINE_LEN`](fairsw_matroid::INLINE_LEN) balls.
     fn is_independent(&self, set: &[usize]) -> bool {
-        let mut used = vec![false; self.num_balls];
-        for &e in set {
-            match self.ball_of.get(e).copied().flatten() {
-                None => return false, // outside every ball: a loop
-                Some(b) => {
-                    if used[b] {
-                        return false;
-                    }
-                    used[b] = true;
-                }
-            }
-        }
-        true
+        with_buffer(self.num_balls, |used: &mut [bool]| {
+            set.iter()
+                .all(|&e| match self.ball_of.get(e).copied().flatten() {
+                    None => false, // outside every ball: a loop
+                    Some(b) => !std::mem::replace(&mut used[b], true),
+                })
+        })
     }
 
     fn rank(&self) -> usize {
@@ -222,6 +217,7 @@ mod tests {
         Group, LaminarMatroid, PartitionMatroid, TransversalMatroid, UniformMatroid,
     };
     use fairsw_metric::{EuclidPoint, Euclidean};
+    use proptest::prelude::{Just, Strategy};
 
     fn pts(vals: &[f64]) -> Vec<EuclidPoint> {
         vals.iter().map(|&v| EuclidPoint::new(vec![v])).collect()
@@ -336,6 +332,58 @@ mod tests {
             matroid: &m,
         };
         assert!(matroid_center(&inst).is_err());
+    }
+
+    /// The allocating ball oracle: one fresh `used` vector per call.
+    fn ball_reference(balls: &BallMatroid, set: &[usize]) -> bool {
+        let mut used = vec![false; balls.num_balls];
+        for &e in set {
+            match balls.ball_of.get(e).copied().flatten() {
+                None => return false,
+                Some(b) => {
+                    if used[b] {
+                        return false;
+                    }
+                    used[b] = true;
+                }
+            }
+        }
+        true
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn ball_oracle_matches_the_allocating_reference(
+            case in (1usize..2 * fairsw_matroid::INLINE_LEN + 8).prop_flat_map(|balls| {
+                (
+                    Just(balls),
+                    proptest::collection::vec(0usize..balls + balls / 4 + 1, 1..160),
+                    proptest::collection::vec(0usize..170, 0..2 * fairsw_matroid::INLINE_LEN + 8),
+                )
+            }),
+        ) {
+            // Sizes on both sides of the inline bound; a drawn ball past
+            // `num_balls` leaves its element outside every ball, and the
+            // random set reaches past the ground set. `first` takes the
+            // first element of each ball, independent by construction;
+            // one more element makes it dependent.
+            let (num_balls, raw, random) = case;
+            let balls = BallMatroid {
+                ball_of: raw.iter().map(|&b| (b < num_balls).then_some(b)).collect(),
+                num_balls,
+            };
+            let mut seen = vec![false; num_balls];
+            let first: Vec<usize> = (0..raw.len())
+                .filter(|&e| raw[e] < num_balls && !std::mem::replace(&mut seen[raw[e]], true))
+                .collect();
+            let mut extended = first.clone();
+            extended.push(random.first().copied().unwrap_or(0));
+            for set in [random, first, extended] {
+                proptest::prop_assert_eq!(balls.is_independent(&set), ball_reference(&balls, &set));
+            }
+        }
     }
 
     #[test]

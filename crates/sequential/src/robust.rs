@@ -43,7 +43,7 @@
 //! rows; the reported radius is re-ranked exactly.
 
 use crate::{validate, FairCenterSolver, FairSolution, Instance, SolveError};
-use fairsw_matching::max_capacitated_matching;
+use fairsw_matching::{has_left_perfect_matching, max_capacitated_matching};
 use fairsw_metric::{Colored, CoresetView, Metric};
 
 /// Result of a robust (outlier-tolerant) clustering call.
@@ -301,9 +301,8 @@ impl RobustFair {
         taus.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         taus.dedup();
 
-        let matching_at = |tau: f64| {
-            let adj: Vec<Vec<usize>> = mind
-                .iter()
+        let adj_at = |tau: f64| -> Vec<Vec<usize>> {
+            mind.iter()
                 .map(|row| {
                     row.iter()
                         .enumerate()
@@ -311,17 +310,18 @@ impl RobustFair {
                         .map(|(c, _)| c)
                         .collect()
                 })
-                .collect();
-            max_capacitated_matching(inst.caps, &adj)
+                .collect()
         };
+        let feasible = |tau: f64| has_left_perfect_matching(inst.caps, &adj_at(tau));
+        let matching_at = |tau: f64| max_capacitated_matching(inst.caps, &adj_at(tau));
 
         let assignment = if taus.is_empty() {
             None
-        } else if matching_at(*taus.last().expect("non-empty")).is_left_perfect() {
+        } else if feasible(*taus.last().expect("non-empty")) {
             let (mut lo, mut hi) = (0usize, taus.len() - 1);
             while lo < hi {
                 let mid = (lo + hi) / 2;
-                if matching_at(taus[mid]).is_left_perfect() {
+                if feasible(taus[mid]) {
                     hi = mid;
                 } else {
                     lo = mid + 1;
