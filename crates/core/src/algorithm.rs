@@ -10,20 +10,13 @@
 //! arrival protocol).
 
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
-use crate::config::{validate_scale, ConfigError, FairSWConfig};
+use crate::config::{ConfigError, FairSWConfig};
 use crate::guess::{Budgets, GuessState};
-use crate::guess_set::GuessSet;
+use crate::guess_set::{query_over_guesses, GuessSet, QueryScratch};
 use crate::memo::QueryMemo;
-use fairsw_metric::{packing_scan, Colored, DistScratch, Metric, Resolver, ScratchPool};
+use fairsw_metric::{Colored, ColoredId, Metric, Resolver};
 use fairsw_sequential::{FairCenterSolver, Jones};
 use fairsw_stream::Lattice;
-
-/// The per-algorithm pool of reusable distance-staging buffers: each
-/// query checks a [`DistScratch`] out for its guess scan and returns it,
-/// so concurrent `&self` queries each stage into their own buffers and
-/// steady-state queries gather and stage coresets without allocating.
-/// Never semantic state — clones start empty, snapshots skip it.
-pub(crate) type QueryScratch<P> = ScratchPool<DistScratch<P>>;
 
 /// The sliding-window fair-center algorithm with a fixed guess range
 /// (requires `dmin`/`dmax` of the stream up front; see
@@ -48,20 +41,15 @@ impl<M: Metric> FairSlidingWindow<M> {
     /// paper.
     pub fn new(cfg: FairSWConfig, metric: M, dmin: f64, dmax: f64) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        validate_scale(dmin, dmax)?;
         let lattice = Lattice::new(cfg.beta);
-        let span = lattice.span(dmin, dmax);
-        let guesses = span
-            .clone()
-            .map(|lvl| GuessState::new(lattice.value(lvl)))
-            .collect();
+        let set = GuessSet::new(lattice, dmin, dmax, GuessState::new)?;
         let k = cfg.k();
         Ok(FairSlidingWindow {
             metric,
             cfg,
             k,
             lattice,
-            set: GuessSet::new(guesses),
+            set,
             t: 0,
             scratch: QueryScratch::default(),
             memo: QueryMemo::default(),
@@ -96,17 +84,12 @@ impl<M: Metric> FairSlidingWindow<M> {
         M: Sync,
         M::Point: Send + Sync,
     {
+        let res = self.set.store.resolver();
         self.memo.scan(self.t, &self.set.guesses, |guesses| {
-            query_over_guesses(
-                &self.scratch,
-                &self.metric,
-                self.set.store.resolver(),
-                guesses.iter().map(|g| (g, ())),
-                self.k,
-                &self.cfg.capacities,
-                solver,
-            )
-            .map(|(sol, ())| sol)
+            query_over_guesses(&self.scratch, &self.metric, res, guesses, self.k, |g| {
+                let caps = &self.cfg.capacities;
+                solve_fair(solver, &self.metric, res, &g.coreset_ids(), caps, g.gamma)
+            })
         })
     }
 
@@ -147,10 +130,7 @@ where
             delta: self.cfg.delta,
         };
         let n = self.cfg.window_size as u64;
-        self.t = self.set.arrive(batch, self.t, n, |g, res, t, te, cid| {
-            if let Some(te) = te {
-                g.expire(res, te);
-            }
+        self.t = self.set.arrive(batch, self.t, n, |g, res, t, cid| {
             g.update(metric, res, t, cid.point, cid.color, budgets);
         });
     }
@@ -201,74 +181,30 @@ where
     }
 }
 
-/// Shared Query logic: scans `(guess, tag)` pairs in ascending-γ order,
-/// applies the validation packing test, and solves on the first
-/// qualifying coreset. Returns the tag with the solution so callers can
-/// report which guess won. Used by the fixed and oblivious variants.
-///
-/// Per guess, `RV` is gathered out of the arena **once** into the
-/// query's [`DistScratch`] view and the `2γ`-packing runs as a batched
-/// minimum-distance scan ([`packing_scan`]) — one kernel call per packed
-/// point instead of a pointwise `dist_to_set` per representative.
-/// Payload copies are materialized only inside the solver's id-slice
-/// entry point, at solution-assembly time.
-#[allow(clippy::too_many_arguments)] // internal; mirrors the query's parameter list
-pub(crate) fn query_over_guesses<'g, M, S, T>(
-    scratch: &QueryScratch<M::Point>,
+/// Algorithm 3's solve step for the partition solvers: `solver` on the
+/// winning guess's coreset `ids` (`R`, or `RV` for the compact variant)
+/// at guess `gamma`. Payload copies are materialized only inside the
+/// solver's id-slice entry point, at solution-assembly time.
+pub(crate) fn solve_fair<M, S>(
+    solver: &S,
     metric: &M,
     res: Resolver<'_, M::Point>,
-    guesses: impl IntoIterator<Item = (&'g GuessState, T)>,
-    k: usize,
+    ids: &[ColoredId],
     caps: &[usize],
-    solver: &S,
-) -> Result<(Solution<M::Point>, T), QueryError>
+    gamma: f64,
+) -> Result<Solution<M::Point>, QueryError>
 where
-    M: Metric + Sync,
-    M::Point: Send + Sync,
-    S: FairCenterSolver<M> + Sync,
-    T: Copy + Send + Sync,
+    M: Metric,
+    S: FairCenterSolver<M>,
 {
-    scratch
-        .with(|s| {
-            guesses.into_iter().find_map(|(g, tag)| {
-                if g.av_len() > k {
-                    return None; // invalid guess: γ is a lower bound on OPT
-                }
-                // Greedy 2γ-packing over RV (Algorithm 3 inner loop), staged.
-                s.view.gather_ids(metric, res, g.rv_ids());
-                packing_scan(
-                    metric,
-                    &s.view,
-                    2.0 * g.gamma(),
-                    k,
-                    &mut s.dist,
-                    &mut s.min_dist,
-                    &mut s.packed,
-                )?; // packing overflow: guess not qualified
-
-                // Qualifying guess: solve on the coreset R. A solver error
-                // on the winning guess is the query's outcome.
-                let ids = g.coreset_ids();
-                Some(
-                    solver
-                        .solve_ids(metric, res, &ids, caps)
-                        .map_err(QueryError::from)
-                        .map(|sol| {
-                            (
-                                Solution {
-                                    centers: sol.centers,
-                                    guess: g.gamma(),
-                                    coreset_size: ids.len(),
-                                    coreset_radius: sol.radius,
-                                    extras: SolutionExtras::None,
-                                },
-                                tag,
-                            )
-                        }),
-                )
-            })
-        })
-        .unwrap_or(Err(QueryError::NoValidGuess))
+    let sol = solver.solve_ids(metric, res, ids, caps)?;
+    Ok(Solution {
+        centers: sol.centers,
+        guess: gamma,
+        coreset_size: ids.len(),
+        coreset_radius: sol.radius,
+        extras: SolutionExtras::None,
+    })
 }
 
 #[cfg(test)]

@@ -19,13 +19,13 @@
 //! point payloads live once in the shared
 //! [`PointStore`](fairsw_metric::PointStore).
 
-use crate::algorithm::QueryScratch;
-use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
-use crate::config::{validate_scale, ConfigError, FairSWConfig};
+use crate::algorithm::solve_fair;
+use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution};
+use crate::config::{ConfigError, FairSWConfig};
 use crate::guess::CoresetEntry;
-use crate::guess_set::{DeadList, GuessSet, GuessSlot};
+use crate::guess_set::{query_over_guesses, DeadList, GuessSet, GuessSlot, QueryScratch};
 use crate::memo::QueryMemo;
-use fairsw_metric::{packing_scan, Colored, ColoredId, Metric, PointId, Resolver};
+use fairsw_metric::{Colored, ColoredId, Metric, PointId, Resolver};
 use fairsw_sequential::{FairCenterSolver, Jones};
 use fairsw_stream::Lattice;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -55,30 +55,6 @@ impl GuessSlot for CompactGuess {
     fn entries(&self) -> usize {
         self.stored_points()
     }
-    fn drain_dead(&mut self, into: &mut Vec<PointId>) {
-        self.dead.drain_into(into);
-    }
-    fn rev(&self) -> u64 {
-        self.rev
-    }
-}
-
-impl CompactGuess {
-    pub(crate) fn new(gamma: f64) -> Self {
-        CompactGuess {
-            gamma,
-            av: BTreeMap::new(),
-            reps_v: HashMap::new(),
-            rv: BTreeMap::new(),
-            dead: DeadList::default(),
-            rev: 0,
-        }
-    }
-
-    fn stored_points(&self) -> usize {
-        self.av.len() + self.rv.len()
-    }
-
     fn expire<P>(&mut self, res: Resolver<'_, P>, te: u64) {
         let mut removed = false;
         if let Some(id) = self.av.remove(&te) {
@@ -96,6 +72,36 @@ impl CompactGuess {
         if removed {
             self.rev = self.rev.wrapping_add(1);
         }
+    }
+    fn drain_dead(&mut self, into: &mut Vec<PointId>) {
+        self.dead.drain_into(into);
+    }
+    fn rev(&self) -> u64 {
+        self.rev
+    }
+    fn av_len(&self) -> usize {
+        self.av.len()
+    }
+    /// The packing never reads colors: handles only.
+    fn rv_ids(&self) -> impl Iterator<Item = PointId> + '_ {
+        self.rv.values().map(|e| e.id)
+    }
+}
+
+impl CompactGuess {
+    pub(crate) fn new(gamma: f64) -> Self {
+        CompactGuess {
+            gamma,
+            av: BTreeMap::new(),
+            reps_v: HashMap::new(),
+            rv: BTreeMap::new(),
+            dead: DeadList::default(),
+            rev: 0,
+        }
+    }
+
+    fn stored_points(&self) -> usize {
+        self.av.len() + self.rv.len()
     }
 
     #[allow(clippy::too_many_arguments)] // internal; mirrors Algorithm 1's parameter list
@@ -266,18 +272,12 @@ impl<M: Metric> CompactFairSlidingWindow<M> {
     /// ignored (there is no coreset side).
     pub fn new(cfg: FairSWConfig, metric: M, dmin: f64, dmax: f64) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        validate_scale(dmin, dmax)?;
-        let lattice = Lattice::new(cfg.beta);
-        let guesses = lattice
-            .span(dmin, dmax)
-            .map(|lvl| CompactGuess::new(lattice.value(lvl)))
-            .collect();
-        let k = cfg.k();
+        let set = GuessSet::new(Lattice::new(cfg.beta), dmin, dmax, CompactGuess::new)?;
         Ok(CompactFairSlidingWindow {
             metric,
+            k: cfg.k(),
             cfg,
-            k,
-            set: GuessSet::new(guesses),
+            set,
             t: 0,
             scratch: QueryScratch::default(),
             memo: QueryMemo::default(),
@@ -293,11 +293,10 @@ impl<M: Metric> CompactFairSlidingWindow<M> {
         self.memo.clear();
     }
 
-    /// Queries with an explicit solver: guess selection identical to the
-    /// main algorithm — `RV` is gathered into the query's scratch view
-    /// once and the packing runs batched — then the sequential solver
-    /// runs on `RV` directly (payload copies materialize only inside
-    /// the solver's id-slice entry point).
+    /// Queries with an explicit solver: the shared Algorithm 3 scan
+    /// selects the guess exactly as in the main algorithm, then the
+    /// sequential solver runs on `RV` directly (payload copies
+    /// materialize only inside the solver's id-slice entry point).
     pub fn query_with<S>(&self, solver: &S) -> Result<Solution<M::Point>, QueryError>
     where
         S: FairCenterSolver<M> + Sync,
@@ -306,41 +305,12 @@ impl<M: Metric> CompactFairSlidingWindow<M> {
     {
         let res = self.set.store.resolver();
         self.memo.scan(self.t, &self.set.guesses, |guesses| {
-            self.scratch
-                .with(|s| {
-                    guesses.iter().find_map(|g| {
-                        if g.av.len() > self.k {
-                            return None;
-                        }
-                        // The packing never reads colors: gather handles only.
-                        s.view
-                            .gather_ids(&self.metric, res, g.rv.values().map(|e| e.id));
-                        packing_scan(
-                            &self.metric,
-                            &s.view,
-                            2.0 * g.gamma,
-                            self.k,
-                            &mut s.dist,
-                            &mut s.min_dist,
-                            &mut s.packed,
-                        )?;
-                        let ids: Vec<ColoredId> =
-                            g.rv.values().map(|e| Colored::new(e.id, e.color)).collect();
-                        Some(
-                            solver
-                                .solve_ids(&self.metric, res, &ids, &self.cfg.capacities)
-                                .map_err(QueryError::from)
-                                .map(|sol| Solution {
-                                    centers: sol.centers,
-                                    guess: g.gamma,
-                                    coreset_size: ids.len(),
-                                    coreset_radius: sol.radius,
-                                    extras: SolutionExtras::None,
-                                }),
-                        )
-                    })
-                })
-                .unwrap_or(Err(QueryError::NoValidGuess))
+            query_over_guesses(&self.scratch, &self.metric, res, guesses, self.k, |g| {
+                let ids: Vec<ColoredId> =
+                    g.rv.values().map(|e| Colored::new(e.id, e.color)).collect();
+                let caps = &self.cfg.capacities;
+                solve_fair(solver, &self.metric, res, &ids, caps, g.gamma)
+            })
         })
     }
 }
@@ -360,10 +330,7 @@ where
         let caps = &self.cfg.capacities;
         let k = self.k;
         let n = self.cfg.window_size as u64;
-        self.t = self.set.arrive(batch, self.t, n, |g, res, t, te, cid| {
-            if let Some(te) = te {
-                g.expire(res, te);
-            }
+        self.t = self.set.arrive(batch, self.t, n, |g, res, t, cid| {
             g.update(metric, res, t, cid.point, cid.color, caps, k);
         });
     }

@@ -1,6 +1,22 @@
 //! Per-guess state: validation points (`AV`, `RV`) and coreset points
-//! (`A`, `repsC`, `R`) with the `Update` / `Cleanup` logic of
-//! Algorithms 1–2 of the paper.
+//! (`A`, the representative tables, `R`) with the `Update` / `Cleanup`
+//! logic of Algorithms 1–2 of the paper.
+//!
+//! One [`GuessState`] serves the fixed, oblivious, robust and matroid
+//! variants. Only the representative table each c-attractor keeps
+//! differs, and it is the type parameter:
+//!
+//! * the partition rule (the default, `Vec<VecDeque<u64>>`) keeps one
+//!   deque of times per color (`repsC`): φ is the attractor with the
+//!   fewest same-color representatives, and an overflow evicts that
+//!   color's oldest one (Algorithm 1 lines 16–19);
+//! * the matroid rule (`Vec<u64>`, in [`crate::matroid_window`]) keeps
+//!   one list of times, independent under the constraint, repaired by
+//!   circuit eviction.
+//!
+//! Expiry, Cleanup, Update's validation side and the invariants both
+//! rules keep are written once, for any table. Query's guess selection
+//! is one scan for every variant, `guess_set::query_over_guesses`.
 //!
 //! Every family is keyed by arrival time, which makes the three removal
 //! patterns of the algorithm cheap and obviously correct:
@@ -24,7 +40,7 @@
 //! 1. a representative never *precedes* its attractor (`t(rep) ≥
 //!    t(attractor)`), so when a representative expires its attractor is
 //!    already gone — natural expiry never has to fix a live attractor's
-//!    representative list;
+//!    representative table;
 //! 2. Cleanup's age filter only ever removes *orphaned* representatives
 //!    (reps of already-removed attractors), because live attractors are
 //!    at least as old as the filter threshold and their reps are younger
@@ -68,13 +84,14 @@ pub(crate) struct CoresetEntry {
     pub attractor: u64,
 }
 
-/// The state maintained for a single radius guess `γ`.
+/// The state maintained for a single radius guess `γ`, with
+/// representative tables of type `T` (module docs).
 ///
 /// Points live in the algorithm's shared arena; the families below store
 /// handles only, so the struct's footprint is independent of the point
 /// dimensionality.
 #[derive(Clone, Debug)]
-pub struct GuessState {
+pub struct GuessState<T = Vec<VecDeque<u64>>> {
     /// The guess value `γ`. (Fields are `pub(crate)` so the snapshot
     /// codec in [`crate::snapshot`] can serialize them directly.)
     pub(crate) gamma: f64,
@@ -88,11 +105,11 @@ pub struct GuessState {
     /// dimension (Theorem 2, Fact 2), not by an explicit cap. Rows in
     /// arrival order, with the metric's staged leading coordinates.
     pub(crate) a: ArrivalBlock,
-    /// Per-attractor, per-color representative times (`repsC`). Each
-    /// deque is sorted by arrival (we always push the newest), so the
-    /// min-TTL eviction of Algorithm 1 line 19 is `pop_front`.
-    pub(crate) reps_c: HashMap<u64, Vec<VecDeque<u64>>>,
-    /// Coreset `R`: union of the `repsC` sets plus orphans.
+    /// Each live c-attractor's representative times (`repsC` for the
+    /// partition rule). Every list is sorted by arrival (the newest is
+    /// always pushed last), so the oldest is at the front.
+    pub(crate) reps: HashMap<u64, T>,
+    /// Coreset `R`: union of the representative tables plus orphans.
     pub(crate) r: BTreeMap<u64, CoresetEntry>,
     /// Arena ids whose refcount this guess observed crossing zero —
     /// drained by the owner's reclaim pass after each arrival. Never
@@ -106,7 +123,7 @@ pub struct GuessState {
     pub(crate) rev: u64,
 }
 
-impl GuessState {
+impl<T> GuessState<T> {
     /// Creates empty state for guess `gamma`.
     pub fn new(gamma: f64) -> Self {
         GuessState {
@@ -115,7 +132,7 @@ impl GuessState {
             rep_of: HashMap::new(),
             rv: BTreeMap::new(),
             a: ArrivalBlock::new(),
-            reps_c: HashMap::new(),
+            reps: HashMap::new(),
             r: BTreeMap::new(),
             dead: DeadList::default(),
             rev: 0,
@@ -215,12 +232,12 @@ impl GuessState {
         }
         if let Some(id) = self.a.remove_front(te) {
             // Its representatives become orphans in R.
-            self.reps_c.remove(&te);
+            self.reps.remove(&te);
             self.dead.release(res, id);
             removed = true;
         }
         // Same invariant on the coreset side: an expiring representative
-        // cannot belong to a live c-attractor, so no deque fix-up needed.
+        // cannot belong to a live c-attractor, so no table fix-up needed.
         if let Some(e) = self.r.remove(&te) {
             self.dead.release(res, e.id);
             removed = true;
@@ -230,26 +247,22 @@ impl GuessState {
         }
     }
 
-    /// Handles the arrival of the point behind `id` (color `color`) at
-    /// time `t` — Algorithm 1's per-guess body (validation + coreset
-    /// sides). The id must already be interned in the arena `res` views.
-    pub fn update<M: Metric>(
+    /// Update's validation side (Algorithm 1, lines 1, 3–10) for the
+    /// arrival `id` at time `t`, the same under both coreset rules. Both
+    /// of its branches insert into `RV`, so every arrival bumps the
+    /// revision here.
+    #[inline]
+    pub(crate) fn update_validation<M: Metric>(
         &mut self,
         metric: &M,
         res: Resolver<'_, M::Point>,
         t: u64,
         id: PointId,
-        color: u32,
-        b: Budgets<'_>,
+        k: usize,
     ) {
-        let Budgets { caps, k, delta } = b;
-        // Both validation branches insert into RV and both coreset
-        // branches insert into R, so every arrival mutates this guess.
         self.rev = self.rev.wrapping_add(1);
         let p = res.get(id);
         let two_gamma = 2.0 * self.gamma;
-
-        // ---- validation side (Algorithm 1, lines 1, 3–10) -------------------
         let psi = self
             .av
             .iter()
@@ -276,63 +289,6 @@ impl GuessState {
                 res.acquire(id);
             }
         }
-
-        // ---- coreset side (Algorithm 1, lines 2, 11–20) ----------------------
-        let attach = delta * self.gamma / 2.0;
-        let ci = color as usize;
-        // φ = c-attractor within δγ/2 of p minimising |repsC^i| (line 16);
-        // the first (oldest) one on ties.
-        let mut phi: Option<(usize, u64)> = None;
-        metric.scan_within(p, &self.a, res, attach, |row| {
-            let ta = self.a.time(row);
-            let reps = self.reps_c.get(&ta).map_or(0, |per| per[ci].len());
-            if phi.is_none_or(|(fewest, _)| reps < fewest) {
-                phi = Some((reps, ta));
-            }
-        });
-        match phi.map(|(_, ta)| ta) {
-            None => {
-                // p becomes a new c-attractor with itself as its only rep.
-                self.a.push(t, id, metric.block_coords(p));
-                res.acquire(id);
-                let mut per = vec![VecDeque::new(); caps.len()];
-                per[ci].push_back(t);
-                self.reps_c.insert(t, per);
-                self.r.insert(
-                    t,
-                    CoresetEntry {
-                        id,
-                        color,
-                        attractor: t,
-                    },
-                );
-                res.acquire(id);
-            }
-            Some(a) => {
-                let per = self
-                    .reps_c
-                    .get_mut(&a)
-                    .expect("live c-attractor has a repsC table");
-                per[ci].push_back(t);
-                self.r.insert(
-                    t,
-                    CoresetEntry {
-                        id,
-                        color,
-                        attractor: a,
-                    },
-                );
-                res.acquire(id);
-                if per[ci].len() > caps[ci] {
-                    // Evict the same-color representative with minimum
-                    // TTL = earliest arrival = deque front.
-                    let orem = per[ci].pop_front().expect("len > cap ≥ 1");
-                    if let Some(e) = self.r.remove(&orem) {
-                        self.dead.release(res, e.id);
-                    }
-                }
-            }
-        }
     }
 
     /// `Cleanup` (Algorithm 2), invoked after a new v-attractor arrival.
@@ -353,9 +309,9 @@ impl GuessState {
             // Prefix removals (strictly below tmin). Invariant 2: every
             // removed rv/r entry is an orphan — live attractors have
             // arrival ≥ tmin and reps are younger than their attractor.
-            let (reps_c, dead) = (&mut self.reps_c, &mut self.dead);
+            let (reps, dead) = (&mut self.reps, &mut self.dead);
             self.a.drop_before(tmin, |ta, id| {
-                reps_c.remove(&ta);
+                reps.remove(&ta);
                 dead.release(res, id);
             });
             let keep_rv = self.rv.split_off(&tmin);
@@ -369,36 +325,33 @@ impl GuessState {
         }
     }
 
-    /// Verifies the structural invariants of this guess at time `t` for
-    /// window length `n`. Used by tests and debug assertions; returns a
-    /// description of the first violation found.
-    pub fn check_invariants<M: Metric>(
+    /// Verifies the invariants both coreset rules keep at time `t` for
+    /// window length `n`, validation threshold `k` and precision
+    /// `delta`: every stored time is live and every handle resolves,
+    /// `AV` holds at most `k + 1` attractors pairwise `> 2γ`, `A` is
+    /// pairwise `> δγ/2`, `rep(·)` maps exactly the live v-attractors to
+    /// `RV` entries no older than them, and every representative table
+    /// belongs to a live c-attractor. Returns the first violation found.
+    pub(crate) fn check_shared<M: Metric>(
         &self,
         metric: &M,
         res: Resolver<'_, M::Point>,
         t: u64,
         n: u64,
-        b: Budgets<'_>,
+        k: usize,
+        delta: f64,
     ) -> Result<(), String> {
-        let Budgets { caps, k, delta } = b;
         let live = |time: u64| time + n > t;
         // All stored times are active and all handles resolve.
         let av = self.av.iter().map(|(&t, &id)| (t, id));
         let rv = self.rv.iter().map(|(&t, &id)| (t, id));
-        for (time, id) in av.chain(self.a.iter()).chain(rv) {
+        let r = self.r.iter().map(|(&t, e)| (t, e.id));
+        for (time, id) in av.chain(self.a.iter()).chain(rv).chain(r) {
             if !live(time) {
                 return Err(format!("expired entry {time} at t={t}"));
             }
             if res.try_get(id).is_none() {
                 return Err(format!("entry {time} holds a collected arena id"));
-            }
-        }
-        for (&time, e) in &self.r {
-            if !live(time) {
-                return Err(format!("expired r entry {time} at t={t}"));
-            }
-            if res.try_get(e.id).is_none() {
-                return Err(format!("r entry {time} holds a collected arena id"));
             }
         }
         // AV bounded and pairwise > 2γ.
@@ -445,12 +398,136 @@ impl GuessState {
                 return Err(format!("live attractor {v} lacks a representative"));
             }
         }
-        // reps_c: per-color caps, sorted deques, entries present in R with
-        // the right attractor, within δγ of the attractor (2·(δγ/2)).
-        for (&a, per) in &self.reps_c {
-            let Some(attractor) = self.a.get(a) else {
-                return Err(format!("repsC table for dead attractor {a}"));
-            };
+        match self.reps.keys().find(|&&a| self.a.get(a).is_none()) {
+            Some(a) => Err(format!("representative table for dead attractor {a}")),
+            None => Ok(()),
+        }
+    }
+
+    /// Checks that `time`, tracked as a representative of the live
+    /// c-attractor `a`, sits in `R` under `a` within `δγ/2` of it, and
+    /// returns its entry.
+    pub(crate) fn check_rep<M: Metric>(
+        &self,
+        metric: &M,
+        res: Resolver<'_, M::Point>,
+        delta: f64,
+        a: u64,
+        time: u64,
+    ) -> Result<&CoresetEntry, String> {
+        let e = self
+            .r
+            .get(&time)
+            .ok_or_else(|| format!("representative {time} missing from R"))?;
+        if e.attractor != a {
+            return Err(format!("R entry {time} attractor mismatch"));
+        }
+        let attractor = self
+            .a
+            .get(a)
+            .ok_or_else(|| format!("representative table for dead attractor {a}"))?;
+        let d = metric.dist(res.get(e.id), res.get(attractor));
+        if d > delta * self.gamma / 2.0 + 1e-9 {
+            return Err(format!(
+                "rep {time} at distance {d} > δγ/2 from attractor {a}"
+            ));
+        }
+        Ok(e)
+    }
+}
+
+/// The partition rule's coreset side: per-color representative deques.
+impl GuessState<Vec<VecDeque<u64>>> {
+    /// Handles the arrival of the point behind `id` (color `color`) at
+    /// time `t` — Algorithm 1's per-guess body (validation + coreset
+    /// sides). The id must already be interned in the arena `res` views.
+    pub fn update<M: Metric>(
+        &mut self,
+        metric: &M,
+        res: Resolver<'_, M::Point>,
+        t: u64,
+        id: PointId,
+        color: u32,
+        b: Budgets<'_>,
+    ) {
+        let Budgets { caps, k, delta } = b;
+        self.update_validation(metric, res, t, id, k);
+
+        // ---- coreset side (Algorithm 1, lines 2, 11–20) ----------------------
+        let p = res.get(id);
+        let attach = delta * self.gamma / 2.0;
+        let ci = color as usize;
+        // φ = c-attractor within δγ/2 of p minimising |repsC^i| (line 16);
+        // the first (oldest) one on ties.
+        let mut phi: Option<(usize, u64)> = None;
+        metric.scan_within(p, &self.a, res, attach, |row| {
+            let ta = self.a.time(row);
+            let reps = self.reps.get(&ta).map_or(0, |per| per[ci].len());
+            if phi.is_none_or(|(fewest, _)| reps < fewest) {
+                phi = Some((reps, ta));
+            }
+        });
+        match phi.map(|(_, ta)| ta) {
+            None => {
+                // p becomes a new c-attractor with itself as its only rep.
+                self.a.push(t, id, metric.block_coords(p));
+                res.acquire(id);
+                let mut per = vec![VecDeque::new(); caps.len()];
+                per[ci].push_back(t);
+                self.reps.insert(t, per);
+                self.r.insert(
+                    t,
+                    CoresetEntry {
+                        id,
+                        color,
+                        attractor: t,
+                    },
+                );
+                res.acquire(id);
+            }
+            Some(a) => {
+                let per = self
+                    .reps
+                    .get_mut(&a)
+                    .expect("live c-attractor has a repsC table");
+                per[ci].push_back(t);
+                self.r.insert(
+                    t,
+                    CoresetEntry {
+                        id,
+                        color,
+                        attractor: a,
+                    },
+                );
+                res.acquire(id);
+                if per[ci].len() > caps[ci] {
+                    // Evict the same-color representative with minimum
+                    // TTL = earliest arrival = deque front.
+                    let orem = per[ci].pop_front().expect("len > cap ≥ 1");
+                    if let Some(e) = self.r.remove(&orem) {
+                        self.dead.release(res, e.id);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Verifies the structural invariants of this guess at time `t` for
+    /// window length `n`: the shared ones, then per-color caps, sorted
+    /// deques, and `R` entries of the right color tracked by their live
+    /// attractor. Used by tests and debug assertions; returns a
+    /// description of the first violation found.
+    pub fn check_invariants<M: Metric>(
+        &self,
+        metric: &M,
+        res: Resolver<'_, M::Point>,
+        t: u64,
+        n: u64,
+        b: Budgets<'_>,
+    ) -> Result<(), String> {
+        let Budgets { caps, k, delta } = b;
+        self.check_shared(metric, res, t, n, k, delta)?;
+        for (&a, per) in &self.reps {
             if per.len() != caps.len() {
                 return Err("repsC color arity mismatch".into());
             }
@@ -458,32 +535,19 @@ impl GuessState {
                 if dq.len() > caps[ci] {
                     return Err(format!("repsC^{ci}({a}) over capacity"));
                 }
-                let mut prev = 0u64;
+                if !dq.iter().is_sorted() {
+                    return Err(format!("repsC deque of {a} unsorted"));
+                }
                 for &time in dq {
-                    if time < prev {
-                        return Err(format!("repsC deque of {a} unsorted"));
-                    }
-                    prev = time;
-                    match self.r.get(&time) {
-                        None => return Err(format!("repsC entry {time} missing from R")),
-                        Some(e) => {
-                            if e.attractor != a || e.color as usize != ci {
-                                return Err(format!("R entry {time} metadata mismatch"));
-                            }
-                            let d = metric.dist(res.get(e.id), res.get(attractor));
-                            if d > delta * self.gamma / 2.0 + 1e-9 {
-                                return Err(format!(
-                                    "rep {time} at distance {d} > δγ/2 from attractor {a}"
-                                ));
-                            }
-                        }
+                    if self.check_rep(metric, res, delta, a, time)?.color as usize != ci {
+                        return Err(format!("R entry {time} metadata mismatch"));
                     }
                 }
             }
         }
         // Every R entry whose attractor is live must be listed in repsC.
         for (&time, e) in &self.r {
-            if let Some(per) = self.reps_c.get(&e.attractor) {
+            if let Some(per) = self.reps.get(&e.attractor) {
                 if !per[e.color as usize].contains(&time) {
                     return Err(format!("R entry {time} not tracked by its live attractor"));
                 }

@@ -16,7 +16,15 @@
 //! Lemma 3 needs; Theorem 1's mapping argument then goes through with
 //! `k = rank(M)`.
 //!
-//! `Query` runs the generic Chen-et-al matroid-center solver
+//! The per-guess state is the shared [`GuessState`]: the validation
+//! families, expiry, Cleanup and Update's validation side are those of
+//! Algorithm 1 for every variant. Only the representative table differs:
+//! each c-attractor keeps one list of times (`GuessState<Vec<u64>>`)
+//! instead of one deque per color, and this module holds the coreset
+//! rule that maintains it.
+//!
+//! `Query` selects the guess with the shared Algorithm 3 scan
+//! (`k = rank`), then runs the generic Chen-et-al matroid-center solver
 //! ([`fn@fairsw_sequential::matroid_center`], matroid-intersection based,
 //! `α = 3`) on the coreset, resolved out of the shared arena only at
 //! solution-assembly time
@@ -27,104 +35,22 @@
 //! matching-based partition solvers — use [`crate::FairSlidingWindow`]
 //! when the constraint is a plain partition matroid.
 
-use crate::algorithm::QueryScratch;
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
-use crate::config::{validate_scale, ConfigError};
-use crate::guess::CoresetEntry;
-use crate::guess_set::{DeadList, GuessSet, GuessSlot};
+use crate::config::ConfigError;
+use crate::guess::{CoresetEntry, GuessState};
+use crate::guess_set::{query_over_guesses, GuessSet, QueryScratch};
 use crate::memo::QueryMemo;
 use fairsw_matroid::{Matroid, OverColors};
-use fairsw_metric::{packing_scan, ArrivalBlock, Colored, Metric, PointId, Resolver};
+use fairsw_metric::{Colored, Metric, PointId, Resolver};
 use fairsw_sequential::matroid_center_ids;
 use fairsw_stream::Lattice;
-use std::collections::{BTreeMap, HashMap};
 
-/// Per-guess state of the matroid variant (validation families identical
-/// to the partition algorithm; coreset rep sets kept independent via
-/// circuit eviction). All families hold arena handles.
-#[derive(Clone, Debug)]
-pub(crate) struct MatroidGuess {
-    pub(crate) gamma: f64,
-    pub(crate) av: BTreeMap<u64, PointId>,
-    pub(crate) rep_of: HashMap<u64, u64>,
-    pub(crate) rv: BTreeMap<u64, PointId>,
-    /// c-attractors in arrival order, with staged leading coordinates.
-    pub(crate) a: ArrivalBlock,
-    /// Per-attractor representative arrival times, sorted (push-back).
-    pub(crate) reps: HashMap<u64, Vec<u64>>,
-    /// Coreset entries: handle, color, attractor.
-    pub(crate) r: BTreeMap<u64, CoresetEntry>,
-    /// Arena ids observed crossing refcount zero (owner drains).
-    pub(crate) dead: DeadList,
-    /// Revision counter for the query memo (bumps on family mutation).
-    pub(crate) rev: u64,
-}
-
-impl GuessSlot for MatroidGuess {
-    fn gamma(&self) -> f64 {
-        self.gamma
-    }
-    fn entries(&self) -> usize {
-        self.stored_points()
-    }
-    fn drain_dead(&mut self, into: &mut Vec<PointId>) {
-        self.dead.drain_into(into);
-    }
-    fn rev(&self) -> u64 {
-        self.rev
-    }
-    fn staged_bytes(&self) -> usize {
-        self.a.staged_bytes()
-    }
-}
-
-impl MatroidGuess {
-    pub(crate) fn new(gamma: f64) -> Self {
-        MatroidGuess {
-            gamma,
-            av: BTreeMap::new(),
-            rep_of: HashMap::new(),
-            rv: BTreeMap::new(),
-            a: ArrivalBlock::new(),
-            reps: HashMap::new(),
-            r: BTreeMap::new(),
-            dead: DeadList::default(),
-            rev: 0,
-        }
-    }
-
-    fn stored_points(&self) -> usize {
-        self.av.len() + self.rv.len() + self.a.len() + self.r.len()
-    }
-
-    fn expire<P>(&mut self, res: Resolver<'_, P>, te: u64) {
-        let mut removed = false;
-        if let Some(id) = self.av.remove(&te) {
-            self.rep_of.remove(&te);
-            self.dead.release(res, id);
-            removed = true;
-        }
-        if let Some(id) = self.rv.remove(&te) {
-            self.dead.release(res, id);
-            removed = true;
-        }
-        if let Some(id) = self.a.remove_front(te) {
-            self.reps.remove(&te);
-            self.dead.release(res, id);
-            removed = true;
-        }
-        // Timing invariant (same as the partition variant): an expiring
-        // representative's attractor is at least as old, hence already
-        // gone — no live rep list needs fixing.
-        if let Some(e) = self.r.remove(&te) {
-            self.dead.release(res, e.id);
-            removed = true;
-        }
-        if removed {
-            self.rev = self.rev.wrapping_add(1);
-        }
-    }
-
+/// The matroid rule's coreset side: one list of representative times
+/// per c-attractor, kept independent via circuit eviction.
+impl GuessState<Vec<u64>> {
+    /// Algorithm 1's per-guess body under a matroid constraint of rank
+    /// `k`: the shared validation side, then the coreset side with
+    /// circuit eviction.
     #[allow(clippy::too_many_arguments)] // internal; mirrors Algorithm 1's parameter list
     fn update<M: Metric, Mat: Matroid<u32>>(
         &mut self,
@@ -137,41 +63,10 @@ impl MatroidGuess {
         k: usize,
         delta: f64,
     ) {
-        // Both validation branches insert into RV, so every arrival
-        // mutates this guess.
-        self.rev = self.rev.wrapping_add(1);
-        let p = res.get(id);
-        let two_gamma = 2.0 * self.gamma;
-
-        // Validation side: identical to Algorithm 1.
-        let psi = self
-            .av
-            .iter()
-            .find(|(_, &v)| metric.within(p, res.get(v), two_gamma))
-            .map(|(&tv, _)| tv);
-        match psi {
-            None => {
-                self.av.insert(t, id);
-                res.acquire(id);
-                self.rep_of.insert(t, t);
-                self.rv.insert(t, id);
-                res.acquire(id);
-                self.cleanup(res, k);
-            }
-            Some(v) => {
-                let old = self
-                    .rep_of
-                    .insert(v, t)
-                    .expect("live v-attractor has a representative");
-                if let Some(oid) = self.rv.remove(&old) {
-                    self.dead.release(res, oid);
-                }
-                self.rv.insert(t, id);
-                res.acquire(id);
-            }
-        }
+        self.update_validation(metric, res, t, id, k);
 
         // Coreset side with circuit eviction.
+        let p = res.get(id);
         let attach = delta * self.gamma / 2.0;
         // Prefer an attractor whose rep set accepts the newcomer without
         // eviction; fall back to the one with the smallest rep set (the
@@ -260,36 +155,9 @@ impl MatroidGuess {
         }
     }
 
-    fn cleanup<P>(&mut self, res: Resolver<'_, P>, k: usize) {
-        if self.av.len() == k + 2 {
-            let oldest = *self.av.keys().next().expect("non-empty");
-            if let Some(id) = self.av.remove(&oldest) {
-                self.dead.release(res, id);
-            }
-            self.rep_of.remove(&oldest);
-        }
-        if self.av.len() == k + 1 {
-            let tmin = *self.av.keys().next().expect("non-empty");
-            let (reps, dead) = (&mut self.reps, &mut self.dead);
-            self.a.drop_before(tmin, |ta, id| {
-                reps.remove(&ta);
-                dead.release(res, id);
-            });
-            let keep_rv = self.rv.split_off(&tmin);
-            for (_, id) in std::mem::replace(&mut self.rv, keep_rv) {
-                self.dead.release(res, id);
-            }
-            let keep_r = self.r.split_off(&tmin);
-            for (_, e) in std::mem::replace(&mut self.r, keep_r) {
-                self.dead.release(res, e.id);
-            }
-        }
-    }
-
-    /// Structural invariants (test helper): liveness of every stored
-    /// time, the `2γ` separation of `AV`, the `δγ/2` separation of `A`,
-    /// and independence of every live attractor's representative colors.
-    #[allow(clippy::too_many_arguments)] // internal checker; mirrors update's list
+    /// Structural invariants (test helper): the shared ones (with
+    /// `k = rank`), then each live attractor's representatives sit in
+    /// `R` under it and their colors are independent.
     fn check_invariants<M: Metric, Mat: Matroid<u32>>(
         &self,
         metric: &M,
@@ -297,84 +165,14 @@ impl MatroidGuess {
         t: u64,
         n: u64,
         matroid: &Mat,
-        k: usize,
         delta: f64,
     ) -> Result<(), String> {
-        let live = |time: u64| time + n > t;
-        for time in self
-            .av
-            .keys()
-            .chain(self.rv.keys())
-            .copied()
-            .chain(self.a.times())
-            .chain(self.r.keys().copied())
-        {
-            if !live(time) {
-                return Err(format!("expired entry {time} at t={t}"));
-            }
-        }
-        let a_ids = self.a.iter().map(|(_, id)| id);
-        for id in self
-            .av
-            .values()
-            .chain(self.rv.values())
-            .copied()
-            .chain(a_ids)
-        {
-            if res.try_get(id).is_none() {
-                return Err("entry holds a collected arena id".into());
-            }
-        }
-        if self.av.len() > k + 1 {
-            return Err(format!("|AV| = {} > rank+1", self.av.len()));
-        }
-        let avs: Vec<_> = self.av.iter().collect();
-        for i in 0..avs.len() {
-            for j in (i + 1)..avs.len() {
-                if metric.dist(res.get(*avs[i].1), res.get(*avs[j].1)) <= 2.0 * self.gamma {
-                    return Err(format!(
-                        "v-attractors {} and {} within 2γ",
-                        avs[i].0, avs[j].0
-                    ));
-                }
-            }
-        }
-        let cas: Vec<_> = self.a.iter().collect();
-        for i in 0..cas.len() {
-            for j in (i + 1)..cas.len() {
-                if metric.dist(res.get(cas[i].1), res.get(cas[j].1)) <= delta * self.gamma / 2.0 {
-                    return Err(format!(
-                        "c-attractors {} and {} within δγ/2",
-                        cas[i].0, cas[j].0
-                    ));
-                }
-            }
-        }
+        self.check_shared(metric, res, t, n, matroid.rank(), delta)?;
         for (&a, times) in &self.reps {
-            let Some(attractor) = self.a.get(a) else {
-                return Err(format!("rep set for dead attractor {a}"));
-            };
-            let mut colors = Vec::with_capacity(times.len());
-            for &time in times {
-                match self.r.get(&time) {
-                    None => return Err(format!("tracked rep {time} missing from R")),
-                    Some(e) => {
-                        if e.attractor != a {
-                            return Err(format!("R entry {time} attractor mismatch"));
-                        }
-                        let Some(rp) = res.try_get(e.id) else {
-                            return Err(format!("R entry {time} holds a collected id"));
-                        };
-                        let d = metric.dist(rp, res.get(attractor));
-                        if d > delta * self.gamma / 2.0 + 1e-9 {
-                            return Err(format!(
-                                "rep {time} at distance {d} > δγ/2 from attractor {a}"
-                            ));
-                        }
-                        colors.push(e.color);
-                    }
-                }
-            }
+            let colors = times
+                .iter()
+                .map(|&time| Ok(self.check_rep(metric, res, delta, a, time)?.color))
+                .collect::<Result<Vec<u32>, String>>()?;
             if !matroid.is_independent(&colors) {
                 return Err(format!("rep colors of attractor {a} not independent"));
             }
@@ -391,7 +189,7 @@ pub struct MatroidSlidingWindow<M: Metric, Mat: Matroid<u32>> {
     pub(crate) window_size: usize,
     pub(crate) delta: f64,
     pub(crate) k: usize,
-    pub(crate) set: GuessSet<MatroidGuess, M::Point>,
+    pub(crate) set: GuessSet<GuessState<Vec<u64>>, M::Point>,
     pub(crate) t: u64,
     pub(crate) scratch: QueryScratch<M::Point>,
     pub(crate) memo: QueryMemo<M::Point>,
@@ -420,25 +218,20 @@ impl<M: Metric, Mat: Matroid<u32>> MatroidSlidingWindow<M, Mat> {
         if !(delta.is_finite() && delta > 0.0 && delta <= 4.0) {
             return Err(ConfigError::BadDelta(delta));
         }
-        validate_scale(dmin, dmax)?;
+        let set = GuessSet::new(Lattice::new(beta), dmin, dmax, GuessState::new)?;
         // A rank-0 constraint admits no center, so no query could ever
         // succeed — the matroid analogue of an all-zero budget.
         let k = matroid.rank();
         if k == 0 {
             return Err(ConfigError::NoCapacities);
         }
-        let lattice = Lattice::new(beta);
-        let guesses = lattice
-            .span(dmin, dmax)
-            .map(|lvl| MatroidGuess::new(lattice.value(lvl)))
-            .collect();
         Ok(MatroidSlidingWindow {
             metric,
             matroid,
             window_size,
             delta,
             k,
-            set: GuessSet::new(guesses),
+            set,
             t: 0,
             scratch: QueryScratch::default(),
             memo: QueryMemo::default(),
@@ -454,7 +247,7 @@ impl<M: Metric, Mat: Matroid<u32>> MatroidSlidingWindow<M, Mat> {
     /// retained configuration (same guess lattice, same matroid) — the
     /// delete-and-recreate reuse path of serving layers.
     pub fn reset(&mut self) {
-        self.set.reset(MatroidGuess::new);
+        self.set.reset(GuessState::new);
         self.t = 0;
         self.memo.clear();
     }
@@ -477,62 +270,38 @@ where
         let matroid = &self.matroid;
         let (k, delta) = (self.k, self.delta);
         let n = self.window_size as u64;
-        self.t = self.set.arrive(batch, self.t, n, |g, res, t, te, cid| {
-            if let Some(te) = te {
-                g.expire(res, te);
-            }
+        self.t = self.set.arrive(batch, self.t, n, |g, res, t, cid| {
             g.update(metric, res, t, cid.point, cid.color, matroid, k, delta);
         });
     }
 
-    /// Queries: validation packing as in Algorithm 3 (`k = rank`), then
-    /// the generic matroid-center solver on the coreset (resolved from
-    /// the arena inside [`matroid_center_ids`] at solution assembly).
+    /// Queries: the shared Algorithm 3 scan (`k = rank`), then the
+    /// generic matroid-center solver on the coreset (resolved from the
+    /// arena inside [`matroid_center_ids`] at solution assembly).
     /// Memoized like every variant's default-solver query.
     fn query(&self) -> Result<Solution<M::Point>, QueryError> {
         let res = self.set.store.resolver();
-        let scan = |guesses: &[MatroidGuess]| {
-            self.scratch
-                .with(|s| {
-                    guesses.iter().find_map(|g| {
-                        if g.av.len() > self.k {
-                            return None;
-                        }
-                        // Batched 2γ-packing over RV (k = rank).
-                        s.view.gather_ids(&self.metric, res, g.rv.values().copied());
-                        packing_scan(
-                            &self.metric,
-                            &s.view,
-                            2.0 * g.gamma,
-                            self.k,
-                            &mut s.dist,
-                            &mut s.min_dist,
-                            &mut s.packed,
-                        )?;
-                        let ids: Vec<PointId> = g.r.values().map(|e| e.id).collect();
-                        let colors: Vec<u32> = g.r.values().map(|e| e.color).collect();
-                        let idx_matroid = OverColors::new(&colors, &self.matroid);
-                        Some(
-                            matroid_center_ids(&self.metric, res, &ids, &idx_matroid)
-                                .map_err(QueryError::Solver)
-                                .map(|sol| {
-                                    let centers = sol
-                                        .centers
-                                        .iter()
-                                        .map(|&i| Colored::new(res.get(ids[i]).clone(), colors[i]))
-                                        .collect();
-                                    Solution {
-                                        centers,
-                                        guess: g.gamma,
-                                        coreset_size: ids.len(),
-                                        coreset_radius: sol.radius,
-                                        extras: SolutionExtras::None,
-                                    }
-                                }),
-                        )
-                    })
-                })
-                .unwrap_or(Err(QueryError::NoValidGuess))
+        let solve = |g: &GuessState<Vec<u64>>| {
+            let ids: Vec<PointId> = g.r.values().map(|e| e.id).collect();
+            let colors: Vec<u32> = g.r.values().map(|e| e.color).collect();
+            let idx_matroid = OverColors::new(&colors, &self.matroid);
+            let sol = matroid_center_ids(&self.metric, res, &ids, &idx_matroid)
+                .map_err(QueryError::Solver)?;
+            let centers = sol
+                .centers
+                .iter()
+                .map(|&i| Colored::new(res.get(ids[i]).clone(), colors[i]))
+                .collect();
+            Ok(Solution {
+                centers,
+                guess: g.gamma,
+                coreset_size: ids.len(),
+                coreset_radius: sol.radius,
+                extras: SolutionExtras::None,
+            })
+        };
+        let scan = |guesses: &[GuessState<Vec<u64>>]| {
+            query_over_guesses(&self.scratch, &self.metric, res, guesses, self.k, solve)
         };
         self.memo
             .query(self.t, || self.memo.scan(self.t, &self.set.guesses, scan))
@@ -568,7 +337,6 @@ where
                 self.t,
                 self.window_size as u64,
                 &self.matroid,
-                self.k,
                 self.delta,
             )?;
         }
@@ -683,6 +451,33 @@ mod tests {
         // handle entries.
         let stats = sw.memory_stats();
         assert!(stats.unique_points <= stats.stored_points());
+    }
+
+    #[test]
+    fn invariant_checker_covers_the_validation_families() {
+        // A live matroid guess whose rep(·) loses a live v-attractor's
+        // slot, or points it at a time missing from RV, must be reported.
+        let part = PartitionMatroid::new(vec![1, 1]).unwrap();
+        let mut sw = MatroidSlidingWindow::new(Euclidean, part, 60, 2.0, 1.0, 0.01, 1e4).unwrap();
+        for i in 0..150u64 {
+            sw.insert(cp((i as f64 * 0.445).fract() * 900.0, (i % 2) as u32));
+        }
+        sw.check_invariants().unwrap();
+        for (missing_slot, expected) in
+            [(true, "lacks a representative"), (false, "missing from RV")]
+        {
+            let mut bad = sw.clone();
+            let g = bad.set.guesses.iter_mut().find(|g| !g.av.is_empty());
+            let g = g.expect("a guess with a live v-attractor");
+            let v = *g.av.keys().next().unwrap();
+            if missing_slot {
+                g.rep_of.remove(&v);
+            } else {
+                g.rep_of.insert(v, u64::MAX);
+            }
+            let err = bad.check_invariants().expect_err(expected);
+            assert!(err.contains(expected), "{expected}: got {err}");
+        }
     }
 
     #[test]

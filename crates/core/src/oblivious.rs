@@ -29,11 +29,11 @@
 //! The returned [`Solution`] records that provenance in its
 //! [`SolutionExtras::Oblivious`] annotation.
 
-use crate::algorithm::{query_over_guesses, QueryScratch};
+use crate::algorithm::solve_fair;
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
 use crate::config::{ConfigError, FairSWConfig};
 use crate::guess::{Budgets, GuessState};
-use crate::guess_set::{arena_stats, reclaim_dead};
+use crate::guess_set::{arena_stats, finish_arrival, query_over_guesses, QueryScratch};
 use crate::memo::QueryMemo;
 use fairsw_metric::{Colored, Metric, PointFootprint, PointStore};
 use fairsw_sequential::{FairCenterSolver, Jones};
@@ -243,15 +243,8 @@ impl<M: Metric> ObliviousFairSlidingWindow<M> {
             }
             g.state.update(metric, res, t, id, color, budgets);
         }
-        // Arrival epilogue: reclaim payloads released by the updates,
-        // then run the window-expiry epoch sweep.
-        reclaim_dead(
-            &mut self.store,
-            self.guesses.values_mut().map(|g| &mut g.state),
-        );
-        if let Some(te) = te {
-            self.store.expire(te);
-        }
+        let guesses = self.guesses.values_mut().map(|g| &mut g.state);
+        finish_arrival(&mut self.store, guesses, te);
     }
 
     /// Queries the current window with an explicit coreset solver.
@@ -269,23 +262,18 @@ impl<M: Metric> ObliviousFairSlidingWindow<M> {
         }
         let n = self.cfg.window_size as u64;
         let mature = |g: &BornGuess| g.born == 1 || g.born + n - 1 <= self.t;
-        let all: Vec<(&GuessState, bool)> = self
-            .guesses
-            .values()
-            .map(|g| (&g.state, mature(g)))
-            .collect();
         let res = self.store.resolver();
 
-        let attempt = |only_mature: bool| {
-            query_over_guesses(
-                &self.scratch,
-                &self.metric,
-                res,
-                all.iter().copied().filter(|&(_, m)| m || !only_mature),
-                self.k,
-                &self.cfg.capacities,
-                solver,
-            )
+        let solve = |g: &GuessState| {
+            let caps = &self.cfg.capacities;
+            solve_fair(solver, &self.metric, res, &g.coreset_ids(), caps, g.gamma)
+        };
+        // Mature guesses first; immature ones (best effort) only when no
+        // mature guess qualified.
+        let attempt = |want_mature: bool| {
+            let guesses = self.guesses.values().filter(|g| mature(g) == want_mature);
+            let states = guesses.map(|g| &g.state);
+            query_over_guesses(&self.scratch, &self.metric, res, states, self.k, &solve)
         };
 
         let annotated = |mut sol: Solution<M::Point>, mature: bool, fallback: bool| {
@@ -298,9 +286,9 @@ impl<M: Metric> ObliviousFairSlidingWindow<M> {
         };
 
         match attempt(true) {
-            Ok((sol, mature)) => Ok(annotated(sol, mature, false)),
+            Ok(sol) => Ok(annotated(sol, true, false)),
             Err(QueryError::NoValidGuess) => match attempt(false) {
-                Ok((sol, mature)) => Ok(annotated(sol, mature, false)),
+                Ok(sol) => Ok(annotated(sol, false, false)),
                 Err(QueryError::NoValidGuess) => {
                     // No guesses at all (e.g. all window points coincide):
                     // the newest point is an optimal center.

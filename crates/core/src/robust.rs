@@ -27,13 +27,12 @@
 //! is exact. A weighted-coreset refinement is the natural next step; it
 //! is not implemented.
 
-use crate::algorithm::QueryScratch;
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};
-use crate::config::{validate_scale, ConfigError, FairSWConfig};
+use crate::config::{ConfigError, FairSWConfig};
 use crate::guess::{Budgets, GuessState};
-use crate::guess_set::GuessSet;
+use crate::guess_set::{query_over_guesses, GuessSet, QueryScratch};
 use crate::memo::QueryMemo;
-use fairsw_metric::{packing_scan, Colored, Metric};
+use fairsw_metric::{Colored, Metric};
 use fairsw_sequential::RobustFair;
 use fairsw_stream::Lattice;
 
@@ -65,12 +64,7 @@ impl<M: Metric> RobustFairSlidingWindow<M> {
         dmax: f64,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        validate_scale(dmin, dmax)?;
-        let lattice = Lattice::new(cfg.beta);
-        let guesses = lattice
-            .span(dmin, dmax)
-            .map(|lvl| GuessState::new(lattice.value(lvl)))
-            .collect();
+        let set = GuessSet::new(Lattice::new(cfg.beta), dmin, dmax, GuessState::new)?;
         let k = cfg.k();
         let inflated_caps = cfg.capacities.iter().map(|&c| c + z).collect();
         Ok(RobustFairSlidingWindow {
@@ -79,7 +73,7 @@ impl<M: Metric> RobustFairSlidingWindow<M> {
             k,
             z,
             inflated_caps,
-            set: GuessSet::new(guesses),
+            set,
             t: 0,
             scratch: QueryScratch::default(),
             memo: QueryMemo::default(),
@@ -121,63 +115,40 @@ where
             delta: self.cfg.delta,
         };
         let n = self.cfg.window_size as u64;
-        self.t = self.set.arrive(batch, self.t, n, |g, res, t, te, cid| {
-            if let Some(te) = te {
-                g.expire(res, te);
-            }
+        self.t = self.set.arrive(batch, self.t, n, |g, res, t, cid| {
             g.update(metric, res, t, cid.point, cid.color, budgets);
         });
     }
 
-    /// Queries: guess selection with the `k+z` packing threshold, then
-    /// the robust fair solver on the coreset with the *original* budgets.
-    /// The discarded outliers ride in [`SolutionExtras::Robust`].
-    /// Memoized like every variant's default-solver query.
+    /// Queries: the shared Algorithm 3 scan with the `k+z` packing
+    /// threshold, then the robust fair solver on the coreset with the
+    /// *original* budgets. The discarded outliers ride in
+    /// [`SolutionExtras::Robust`]. Memoized like every variant's
+    /// default-solver query.
     fn query(&self) -> Result<Solution<M::Point>, QueryError> {
-        let k_eff = self.k + self.z;
         let solver = RobustFair::new(self.z);
         let res = self.set.store.resolver();
+        let solve = |g: &GuessState| {
+            let ids = g.coreset_ids();
+            let sol = solver
+                .solve_robust_ids(&self.metric, res, &ids, &self.cfg.capacities)
+                .map_err(QueryError::Solver)?;
+            let outliers = sol
+                .outliers
+                .iter()
+                .map(|&i| res.colored(ids[i]).map(Clone::clone))
+                .collect();
+            Ok(Solution {
+                centers: sol.centers,
+                guess: g.gamma,
+                coreset_size: ids.len(),
+                coreset_radius: sol.radius,
+                extras: SolutionExtras::Robust { outliers },
+            })
+        };
+        let k_eff = self.k + self.z;
         let scan = |guesses: &[GuessState]| {
-            self.scratch
-                .with(|s| {
-                    guesses.iter().find_map(|g| {
-                        if g.av_len() > k_eff {
-                            return None;
-                        }
-                        // Batched 2γ-packing with the robust `k+z` threshold.
-                        s.view.gather_ids(&self.metric, res, g.rv_ids());
-                        packing_scan(
-                            &self.metric,
-                            &s.view,
-                            2.0 * g.gamma(),
-                            k_eff,
-                            &mut s.dist,
-                            &mut s.min_dist,
-                            &mut s.packed,
-                        )?;
-                        let ids = g.coreset_ids();
-                        Some(
-                            solver
-                                .solve_robust_ids(&self.metric, res, &ids, &self.cfg.capacities)
-                                .map_err(QueryError::Solver)
-                                .map(|sol| {
-                                    let outliers = sol
-                                        .outliers
-                                        .iter()
-                                        .map(|&i| res.colored(ids[i]).map(Clone::clone))
-                                        .collect();
-                                    Solution {
-                                        centers: sol.centers,
-                                        guess: g.gamma(),
-                                        coreset_size: ids.len(),
-                                        coreset_radius: sol.radius,
-                                        extras: SolutionExtras::Robust { outliers },
-                                    }
-                                }),
-                        )
-                    })
-                })
-                .unwrap_or(Err(QueryError::NoValidGuess))
+            query_over_guesses(&self.scratch, &self.metric, res, guesses, k_eff, solve)
         };
         self.memo
             .query(self.t, || self.memo.scan(self.t, &self.set.guesses, scan))

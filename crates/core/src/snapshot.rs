@@ -59,9 +59,11 @@
 //! * **config** — window `n`, the budgets `k_i`, `β`, `δ`.
 //! * **arena** — the arrival clock `t`, then every live point as
 //!   `(arrival time, payload)`, times increasing and inside the window.
-//! * **guesses** — per `γ`: `AV`, `rep(·)`, `RV`, `A`, `repsC`, `R`.
-//!   Robust guesses are the same families; their inflated budgets
-//!   `k_i + z` are recomputed from the config and `z`.
+//! * **guesses** — per `γ`: `AV`, `rep(·)`, `RV`, `A`, each
+//!   c-attractor's representative table, `R`. Robust guesses are the
+//!   same families; their inflated budgets `k_i + z` are recomputed from
+//!   the config and `z`. A table is one list of times per color
+//!   (`repsC`), except in the matroid layout.
 //! * **compact guesses** — per `γ`: `AV`, the per-attractor per-color
 //!   representative tables, and `RV` with each entry's color and
 //!   attractor.
@@ -73,8 +75,8 @@
 //!   color) doubles as the estimator's previous arrival.
 //! * **constraint** — the matroid: a partition's capacities, a laminar
 //!   family's groups, or a uniform rank.
-//! * **matroid guesses** — per `γ`: `AV`, `rep(·)`, `RV`, `A`, each
-//!   attractor's representative times, and `R`.
+//! * **matroid guesses** — the guess section with one list of
+//!   representative times per c-attractor as its table.
 //!
 //! `FSW2` is byte-compatible with snapshots written before the other
 //! variants could checkpoint. Decoding validates as it goes: counts are
@@ -89,7 +91,7 @@ use crate::compact::{CompactFairSlidingWindow, CompactGuess};
 use crate::config::FairSWConfig;
 use crate::guess::{CoresetEntry, GuessState};
 use crate::guess_set::GuessSet;
-use crate::matroid_window::{MatroidGuess, MatroidSlidingWindow};
+use crate::matroid_window::MatroidSlidingWindow;
 use crate::oblivious::{BornGuess, ObliviousFairSlidingWindow};
 use crate::robust::RobustFairSlidingWindow;
 use fairsw_matroid::{
@@ -469,27 +471,26 @@ fn decode_pairs(input: &mut &[u8]) -> Result<HashMap<u64, u64>, SnapshotError> {
         .map(|pairs| pairs.into_iter().collect())
 }
 
-fn encode_color_tables(out: &mut Vec<u8>, map: &HashMap<u64, Vec<VecDeque<u64>>>) {
-    put_len(out, map.len());
-    for (a, per) in sorted(map) {
-        put_u64(out, a);
-        put_len(out, per.len());
-        for dq in per {
-            put_len(out, dq.len());
-            for t in dq {
-                put_u64(out, *t);
-            }
-        }
-    }
+/// A c-attractor's representative table: its codec, and the times it
+/// tracks (which the decoder checks against `R`).
+trait RepTable: Sized {
+    fn encode(&self, out: &mut Vec<u8>);
+    /// Decodes one table; each of its lists must be in arrival order.
+    fn decode(input: &mut &[u8], ncolors: usize) -> Result<Self, SnapshotError>;
+    fn times(&self) -> impl Iterator<Item = u64> + '_;
 }
 
-fn decode_color_tables(
-    input: &mut &[u8],
-    ncolors: usize,
-) -> Result<HashMap<u64, Vec<VecDeque<u64>>>, SnapshotError> {
-    let tables = decode_list(input, 16, |i| {
-        let a = take_u64(i)?;
-        let per = decode_list(i, 8, |i| decode_list(i, 8, take_u64).map(VecDeque::from))?;
+/// One list of times per color (`repsC`).
+impl RepTable for Vec<VecDeque<u64>> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_len(out, self.len());
+        for dq in self {
+            encode_times(out, dq.iter().copied());
+        }
+    }
+
+    fn decode(input: &mut &[u8], ncolors: usize) -> Result<Self, SnapshotError> {
+        let per = decode_list(input, 8, |i| decode_time_list(i).map(VecDeque::from))?;
         // The insert path indexes these tables by color: a table that
         // does not span the configuration's colors would panic later.
         if per.len() != ncolors {
@@ -498,27 +499,54 @@ fn decode_color_tables(
                 per.len()
             )));
         }
-        Ok((a, per))
-    })?;
-    Ok(tables.into_iter().collect())
-}
+        Ok(per)
+    }
 
-fn encode_time_lists(out: &mut Vec<u8>, map: &HashMap<u64, Vec<u64>>) {
-    put_len(out, map.len());
-    for (a, times) in sorted(map) {
-        put_u64(out, a);
-        put_len(out, times.len());
-        for t in times {
-            put_u64(out, *t);
-        }
+    fn times(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter().flatten().copied()
     }
 }
 
-fn decode_time_lists(input: &mut &[u8]) -> Result<HashMap<u64, Vec<u64>>, SnapshotError> {
-    decode_list(input, 16, |i| {
-        Ok((take_u64(i)?, decode_list(i, 8, take_u64)?))
+/// One list of times (the matroid layout).
+impl RepTable for Vec<u64> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_times(out, self.iter().copied());
+    }
+
+    fn decode(input: &mut &[u8], _ncolors: usize) -> Result<Self, SnapshotError> {
+        decode_time_list(input)
+    }
+
+    fn times(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter().copied()
+    }
+}
+
+/// A list of representative times, increasing: a repeated time would be
+/// evicted twice.
+fn decode_time_list(input: &mut &[u8]) -> Result<Vec<u64>, SnapshotError> {
+    let mut prev = None;
+    decode_list(input, 8, |i| {
+        let t = take_u64(i)?;
+        check_increasing(&mut prev, t, "representative")?;
+        Ok(t)
     })
-    .map(|lists| lists.into_iter().collect())
+}
+
+fn encode_tables<T: RepTable>(out: &mut Vec<u8>, map: &HashMap<u64, T>) {
+    put_len(out, map.len());
+    for (a, table) in sorted(map) {
+        put_u64(out, a);
+        table.encode(out);
+    }
+}
+
+fn decode_tables<T: RepTable>(
+    input: &mut &[u8],
+    ncolors: usize,
+) -> Result<HashMap<u64, T>, SnapshotError> {
+    decode_list(input, 16, |i| Ok((take_u64(i)?, T::decode(i, ncolors)?)))
+        .map(|tables| tables.into_iter().collect())
 }
 
 fn encode_entries(out: &mut Vec<u8>, map: &BTreeMap<u64, CoresetEntry>) {
@@ -563,36 +591,50 @@ fn decode_entries<P>(
 
 // ---- per-guess codecs --------------------------------------------------
 
-fn encode_guess(out: &mut Vec<u8>, g: &GuessState) {
+fn encode_guess<T: RepTable>(out: &mut Vec<u8>, g: &GuessState<T>) {
     put_f64(out, g.gamma);
     encode_times(out, g.av.keys().copied());
     encode_pairs(out, &g.rep_of);
     encode_times(out, g.rv.keys().copied());
     encode_times(out, g.a.times());
-    encode_color_tables(out, &g.reps_c);
+    encode_tables(out, &g.reps);
     encode_entries(out, &g.r);
 }
 
 /// A guess encodes at minimum its `γ` plus six length prefixes.
 const GUESS_MIN_BYTES: usize = 56;
 
-fn decode_guess<M: Metric>(
+fn decode_guess<M: Metric, T: RepTable>(
     input: &mut &[u8],
     arena: &mut Arena<M::Point>,
     metric: &M,
     ncolors: usize,
-) -> Result<GuessState, SnapshotError> {
-    let mut g = GuessState::new(decode_gamma(input)?);
+) -> Result<GuessState<T>, SnapshotError> {
+    let mut g = GuessState::<T>::new(decode_gamma(input)?);
     g.av = decode_times(input, arena)?;
     g.rep_of = decode_pairs(input)?;
     g.rv = decode_times(input, arena)?;
     g.a = decode_block(input, arena, metric)?;
-    g.reps_c = decode_color_tables(input, ncolors)?;
+    g.reps = decode_tables(input, ncolors)?;
     g.r = decode_entries(input, arena, ncolors)?;
     // Every live v-attractor owns a representative slot and every live
-    // c-attractor a repsC table.
+    // c-attractor a representative table.
     require_keys(g.av.keys().copied(), &g.rep_of, "live v-attractor")?;
-    require_keys(g.a.times(), &g.reps_c, "live c-attractor")?;
+    require_keys(g.a.times(), &g.reps, "live c-attractor")?;
+    // Update reads tracked representatives out of R and evicts them
+    // from there. So each one sits in R under its own attractor, and no
+    // older than that attractor: expiry drops an attractor's table
+    // before any of its members.
+    for (&ta, table) in &g.reps {
+        let stray = table
+            .times()
+            .find(|&t| t < ta || g.r.get(&t).is_none_or(|e| e.attractor != ta));
+        if let Some(t) = stray {
+            return Err(invalid(format!(
+                "representative {t} of attractor {ta} disagrees with R"
+            )));
+        }
+    }
     Ok(g)
 }
 
@@ -606,7 +648,7 @@ fn encode_guesses<G>(out: &mut Vec<u8>, guesses: &[G], encode: impl Fn(&mut Vec<
 fn encode_compact_guess(out: &mut Vec<u8>, g: &CompactGuess) {
     put_f64(out, g.gamma);
     encode_times(out, g.av.keys().copied());
-    encode_color_tables(out, &g.reps_v);
+    encode_tables(out, &g.reps_v);
     encode_entries(out, &g.rv);
 }
 
@@ -617,56 +659,13 @@ fn decode_compact_guess<P>(
 ) -> Result<CompactGuess, SnapshotError> {
     let mut g = CompactGuess::new(decode_gamma(input)?);
     g.av = decode_times(input, arena)?;
-    g.reps_v = decode_color_tables(input, ncolors)?;
+    g.reps_v = decode_tables(input, ncolors)?;
     g.rv = decode_entries(input, arena, ncolors)?;
     // Attractors and representative tables are born and retired
     // together.
     require_keys(g.av.keys().copied(), &g.reps_v, "live v-attractor")?;
     if g.reps_v.len() != g.av.len() {
         return Err(invalid("representative table of a retired attractor"));
-    }
-    Ok(g)
-}
-
-fn encode_matroid_guess(out: &mut Vec<u8>, g: &MatroidGuess) {
-    put_f64(out, g.gamma);
-    encode_times(out, g.av.keys().copied());
-    encode_pairs(out, &g.rep_of);
-    encode_times(out, g.rv.keys().copied());
-    encode_times(out, g.a.times());
-    encode_time_lists(out, &g.reps);
-    encode_entries(out, &g.r);
-}
-
-fn decode_matroid_guess<M: Metric>(
-    input: &mut &[u8],
-    arena: &mut Arena<M::Point>,
-    metric: &M,
-    ncolors: usize,
-) -> Result<MatroidGuess, SnapshotError> {
-    let mut g = MatroidGuess::new(decode_gamma(input)?);
-    g.av = decode_times(input, arena)?;
-    g.rep_of = decode_pairs(input)?;
-    g.rv = decode_times(input, arena)?;
-    g.a = decode_block(input, arena, metric)?;
-    g.reps = decode_time_lists(input)?;
-    g.r = decode_entries(input, arena, ncolors)?;
-    require_keys(g.av.keys().copied(), &g.rep_of, "live v-attractor")?;
-    require_keys(g.a.times(), &g.reps, "live c-attractor")?;
-    // The circuit-eviction path reads each tracked representative's
-    // color out of R and evicts it from there. So each one sits in R
-    // under its own attractor, once, and no older than that attractor:
-    // expiry drops an attractor's list before any of its members.
-    for (&ta, times) in &g.reps {
-        let mut prev = None;
-        for &t in times {
-            check_increasing(&mut prev, t, "representative")?;
-            if t < ta || g.r.get(&t).is_none_or(|e| e.attractor != ta) {
-                return Err(invalid(format!(
-                    "representative {t} of attractor {ta} disagrees with R"
-                )));
-            }
-        }
     }
     Ok(g)
 }
@@ -1019,7 +1018,7 @@ where
         put_f64(&mut out, self.delta);
         encode_matroid(&mut out, &self.matroid);
         encode_arena(&mut out, self.t, &self.set.store);
-        encode_guesses(&mut out, &self.set.guesses, encode_matroid_guess);
+        encode_guesses(&mut out, &self.set.guesses, encode_guess);
         out
     }
 
@@ -1035,9 +1034,8 @@ where
         }
         let matroid = decode_matroid(&mut input)?;
         let mut arena = decode_arena(&mut input, window as usize)?;
-        // γ plus seven length prefixes.
-        let guesses = decode_list(&mut input, 56, |i| {
-            decode_matroid_guess(i, &mut arena, &metric, matroid.num_colors())
+        let guesses = decode_list(&mut input, GUESS_MIN_BYTES, |i| {
+            decode_guess(i, &mut arena, &metric, matroid.num_colors())
         })?;
         expect_end(input)?;
         Ok(MatroidSlidingWindow {

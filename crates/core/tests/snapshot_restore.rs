@@ -1,5 +1,5 @@
 //! Restore-then-continue identity for every variant, and compatibility
-//! with fixed-variant snapshots written by earlier releases.
+//! with snapshots of every layout written by earlier releases.
 //!
 //! A restored engine must answer, and keep evolving, exactly like an
 //! uninterrupted twin: every reply, every `MemoryStats`, and in the end
@@ -132,13 +132,13 @@ fn every_variant_restores_then_continues_like_its_twin() {
     }
 }
 
-/// The stream the fixtures were written from: 75 arrivals of `dim`
-/// coordinates into a window of 30, budgets `[2, 1]`, `[0.01, 1e3]`.
-fn fixture_engine(project: bool) -> WindowEngine<Euclidean> {
+/// The stream every fixture was written from: 75 arrivals of `dim`
+/// coordinates into a window of 30, budgets `[2, 1]`.
+fn fixture_engine(spec: VariantSpec, project: bool) -> WindowEngine<Euclidean> {
     let builder = EngineBuilder::new()
         .window_size(30)
         .capacities(vec![2, 1])
-        .fixed(0.01, 1e3);
+        .variant(spec);
     let (builder, dim) = if project {
         (builder.project(3, 0xfa15), 8)
     } else {
@@ -149,17 +149,43 @@ fn fixture_engine(project: bool) -> WindowEngine<Euclidean> {
     e
 }
 
+/// Every fixture: its file, the engine it was written from, and whether
+/// its bytes are the canonical encoding. The two oldest were written
+/// before hash-keyed tables were encoded in key order, so they restore
+/// to the rebuilt state but are not its bytes; the others were written
+/// by the canonical encoder of every layout, from `variants()`' specs.
+fn fixtures() -> Vec<(String, VariantSpec, bool, bool)> {
+    let fixed = VariantSpec::Fixed {
+        dmin: 0.01,
+        dmax: 1e3,
+    };
+    let mut list = vec![
+        ("fixed.fsw2".to_string(), fixed.clone(), false, false),
+        ("fixed-projected.fswp".to_string(), fixed, true, false),
+    ];
+    let exts = ["fsw2", "fswo", "fswc", "fswr", "fswm", "fswm"];
+    for ((name, spec), ext) in variants().into_iter().zip(exts) {
+        let name = if name == "fixed" {
+            "fixed-canonical"
+        } else {
+            name
+        };
+        list.push((format!("{name}.{ext}"), spec, false, true));
+    }
+    list
+}
+
 #[test]
 fn fixed_snapshots_from_earlier_releases_still_restore() {
-    for (file, project) in [("fixed.fsw2", false), ("fixed-projected.fswp", true)] {
+    for (file, spec, project, canonical) in fixtures() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/fixtures")
-            .join(file);
+            .join(&file);
         let bytes = std::fs::read(&path).expect("fixture present");
         let mut restored = WindowEngine::restore(Euclidean, &bytes)
             .unwrap_or_else(|e| panic!("{file}: restore failed: {e}"));
-        let mut rebuilt = fixture_engine(project);
-        assert_eq!(restored.variant_name(), "fixed");
+        let mut rebuilt = fixture_engine(spec, project);
+        assert_eq!(restored.variant_name(), rebuilt.variant_name(), "{file}");
         assert_eq!(
             restored
                 .projection()
@@ -169,7 +195,14 @@ fn fixed_snapshots_from_earlier_releases_still_restore() {
                 .map(|p| (p.out_dim(), p.seed(), p.in_dim())),
             "{file}: projection"
         );
-        assert_twins(file, &rebuilt, &restored);
+        // The decoder and the encoder are both pinned: the rebuilt
+        // engine writes the fixture's bytes, and the restored one its
+        // state.
+        if canonical {
+            assert!(rebuilt.snapshot() == Some(bytes), "{file}: encoding");
+        }
+        assert_eq!(restored.snapshot(), rebuilt.snapshot(), "{file}: restored");
+        assert_twins(&file, &rebuilt, &restored);
         let dim = if project { 8 } else { 2 };
         restored.insert_batch((75..120).map(|i| point(i, dim)));
         rebuilt.insert_batch((75..120).map(|i| point(i, dim)));
