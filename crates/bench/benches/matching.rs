@@ -2,7 +2,7 @@
 //! of both sequential solvers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fairsw_matching::{max_bipartite_matching, max_capacitated_matching};
+use fairsw_matching::{max_bipartite_matching, max_capacitated_matching, prefix_thresholds};
 use std::hint::black_box;
 
 /// Deterministic pseudo-random bipartite graph.
@@ -48,5 +48,29 @@ fn bench_capacitated(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_hopcroft_karp, bench_capacitated);
+fn bench_prefix_thresholds(c: &mut Criterion) {
+    let mut group = c.benchmark_group("prefix_thresholds");
+    // The same instance, each edge weighted: the thresholds of every
+    // pivot prefix, as `Jones` asks for them.
+    for k in [14usize, 28, 56] {
+        let caps = vec![k / 7; 7];
+        let mut weights = vec![f64::INFINITY; k * 7];
+        for (v, nb) in graph(k, 7, 4).iter().enumerate() {
+            for &c in nb {
+                weights[v * 7 + c] = ((v * 31 + c * 17) % 101) as f64;
+            }
+        }
+        group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
+            b.iter(|| black_box(prefix_thresholds(&caps, k, |v, c| weights[v * 7 + c])))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_hopcroft_karp,
+    bench_capacitated,
+    bench_prefix_thresholds
+);
 criterion_main!(benches);

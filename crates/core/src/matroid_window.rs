@@ -40,10 +40,34 @@ use crate::config::ConfigError;
 use crate::guess::{CoresetEntry, GuessState};
 use crate::guess_set::{query_over_guesses, GuessSet, QueryScratch};
 use crate::memo::QueryMemo;
-use fairsw_matroid::{Matroid, OverColors};
+use fairsw_matroid::{with_buffer, Matroid, OverColors};
 use fairsw_metric::{Colored, Metric, PointId, Resolver};
 use fairsw_sequential::matroid_center_ids;
 use fairsw_stream::Lattice;
+use std::collections::BTreeMap;
+
+/// Whether the colors of the representatives at `times` (without the
+/// one at position `skip`) plus `color` are independent. The colors go
+/// in a buffer that stays inline up to
+/// [`INLINE_LEN`](fairsw_matroid::INLINE_LEN) elements, so the Update
+/// allocates nothing for them.
+fn independent_with<Mat: Matroid<u32>>(
+    matroid: &Mat,
+    r: &BTreeMap<u64, CoresetEntry>,
+    times: &[u64],
+    skip: Option<usize>,
+    color: u32,
+) -> bool {
+    let len = times.len() + 1 - usize::from(skip.is_some());
+    with_buffer(len, |cols: &mut [u32]| {
+        let kept = (0..times.len()).filter(|&j| Some(j) != skip);
+        let reps = kept.map(|j| r[&times[j]].color);
+        for (slot, c) in cols.iter_mut().zip(reps.chain([color])) {
+            *slot = c;
+        }
+        matroid.is_independent(cols)
+    })
+}
 
 /// The matroid rule's coreset side: one list of representative times
 /// per c-attractor, kept independent via circuit eviction.
@@ -76,9 +100,7 @@ impl GuessState<Vec<u64>> {
         metric.scan_within(p, &self.a, res, attach, |row| {
             let ta = self.a.time(row);
             let times = self.reps.get(&ta).map(Vec::as_slice).unwrap_or(&[]);
-            let mut colors: Vec<u32> = times.iter().map(|tt| self.r[tt].color).collect();
-            colors.push(color);
-            if no_evict.is_none() && matroid.is_independent(&colors) {
+            if no_evict.is_none() && independent_with(matroid, &self.r, times, None, color) {
                 no_evict = Some(ta);
             }
             if smallest.is_none_or(|(len, _)| times.len() < len) {
@@ -111,14 +133,12 @@ impl GuessState<Vec<u64>> {
             }
             Some(ta) => {
                 let times = self.reps.get_mut(&ta).expect("live attractor");
-                let mut colors: Vec<u32> = times.iter().map(|tt| self.r[tt].color).collect();
-                colors.push(color);
                 let entry = CoresetEntry {
                     id,
                     color,
                     attractor: ta,
                 };
-                if matroid.is_independent(&colors) {
+                if independent_with(matroid, &self.r, times, None, color) {
                     times.push(t);
                     self.r.insert(t, entry);
                     res.acquire(id);
@@ -127,20 +147,8 @@ impl GuessState<Vec<u64>> {
                     // removal restores independence (for partition
                     // matroids: the oldest same-color rep). If none does,
                     // the newcomer is itself a loop — skip it.
-                    let mut evict: Option<usize> = None;
-                    for i in 0..times.len() {
-                        let cols: Vec<u32> = times
-                            .iter()
-                            .enumerate()
-                            .filter(|(j, _)| *j != i)
-                            .map(|(_, tt)| self.r[tt].color)
-                            .chain(std::iter::once(color))
-                            .collect();
-                        if matroid.is_independent(&cols) {
-                            evict = Some(i);
-                            break;
-                        }
-                    }
+                    let evict = (0..times.len())
+                        .find(|&i| independent_with(matroid, &self.r, times, Some(i), color));
                     if let Some(i) = evict {
                         let dead_t = times.remove(i);
                         if let Some(e) = self.r.remove(&dead_t) {

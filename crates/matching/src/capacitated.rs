@@ -6,6 +6,12 @@
 //! it is maximum matching in the graph where color `i` is exploded into
 //! `k_i` copies; implementing the capacities directly avoids the blow-up
 //! and keeps augmenting paths short (the right side has only `ℓ` nodes).
+//!
+//! One augmenting-path search serves two entry points:
+//! [`max_capacitated_matching`] runs it once per left node over a fixed
+//! adjacency, and [`prefix_thresholds`] grows the adjacency edge weight by
+//! edge weight between the searches, to find the smallest threshold at
+//! which each prefix of the left nodes matches perfectly.
 
 /// Result of a capacitated matching computation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,91 +39,128 @@ impl CapacitatedMatching {
 /// `ℓ` colors and `E` edges, the cost is `O(L · E)` — tiny in our use
 /// (`L ≤ k`, `ℓ ≤` number of colors).
 pub fn max_capacitated_matching(caps: &[usize], adj: &[Vec<usize>]) -> CapacitatedMatching {
-    kuhn(caps, adj, false)
-}
-
-/// Whether every left node can be assigned a color: the same answer as
-/// `max_capacitated_matching(caps, adj).is_left_perfect()`, for the
-/// feasibility probes that need only the verdict.
-///
-/// It stops at the first left node without an augmenting path. An
-/// augmenting path moves assigned left nodes to other colors but never
-/// unassigns one, so a node that fails its turn stays unassigned and the
-/// full matching cannot be left-perfect.
-pub fn has_left_perfect_matching(caps: &[usize], adj: &[Vec<usize>]) -> bool {
-    kuhn(caps, adj, true).is_left_perfect()
-}
-
-/// Kuhn's search over the left nodes in index order; with
-/// `stop_at_failure` it returns at the first node left unassigned.
-fn kuhn(caps: &[usize], adj: &[Vec<usize>], stop_at_failure: bool) -> CapacitatedMatching {
-    let n_left = adj.len();
-    let n_colors = caps.len();
     debug_assert!(
-        adj.iter().all(|nb| nb.iter().all(|&c| c < n_colors)),
+        adj.iter().all(|nb| nb.iter().all(|&c| c < caps.len())),
         "color out of range"
     );
+    let mut kuhn = Kuhn::new(caps, adj.len());
+    let size = (0..adj.len()).filter(|&u| kuhn.augment(u, adj)).count();
+    CapacitatedMatching {
+        load: kuhn.occupants.iter().map(Vec::len).collect(),
+        assigned: kuhn.assigned,
+        size,
+    }
+}
 
-    // occupants[c] = left nodes currently assigned to color c.
-    let mut occupants: Vec<Vec<usize>> = vec![Vec::new(); n_colors];
-    let mut assigned: Vec<Option<usize>> = vec![None; n_left];
+/// For every prefix `0..=j` of `rows` left nodes, the smallest threshold
+/// `τ` at which the prefix matches perfectly when node `v` may take color
+/// `c` iff `weight(v, c) <= τ`.
+///
+/// The candidate thresholds are the finite weights, so `±∞` and NaN never
+/// become edges. Perfect matchability is monotone in `τ` (edges only get
+/// added) and in `j` (a perfect matching of `0..=j` restricts to one of
+/// `0..j`), so the list is non-decreasing and stops at the first prefix
+/// that no candidate matches: no longer prefix can match either. Of equal
+/// weights (`0.0` and `-0.0`) an entry is the first in row-major order.
+///
+/// One pass: the finite `(weight, node, color)` triples are sorted once
+/// (stably, so ties keep their row-major order), then each node runs one
+/// augmenting search at the current threshold. With the earlier nodes
+/// matched, a path from the new node exists iff its prefix matches
+/// perfectly (Berge), so while the search fails the threshold steps to
+/// the next distinct weight, whose edges join the adjacency, and the
+/// search runs again.
+pub fn prefix_thresholds(
+    caps: &[usize],
+    rows: usize,
+    weight: impl Fn(usize, usize) -> f64,
+) -> Vec<f64> {
+    let mut edges: Vec<(f64, usize, usize)> = (0..rows)
+        .flat_map(|v| (0..caps.len()).map(move |c| (v, c)))
+        .map(|(v, c)| (weight(v, c), v, c))
+        .filter(|e| e.0.is_finite())
+        .collect();
+    edges.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
 
-    // Depth-first augmentation. `visited` marks colors explored in the
-    // current attempt. Returns true if `u` got (re)assigned.
-    fn try_assign(
-        u: usize,
-        adj: &[Vec<usize>],
-        caps: &[usize],
-        occupants: &mut [Vec<usize>],
-        assigned: &mut [Option<usize>],
-        visited: &mut [bool],
-    ) -> bool {
+    let mut kuhn = Kuhn::new(caps, rows);
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); rows];
+    let mut taus = Vec::with_capacity(rows);
+    let (mut next, mut tau) = (0, f64::NAN);
+    for u in 0..rows {
+        while !kuhn.augment(u, &adj) {
+            let Some(&(w, _, _)) = edges.get(next) else {
+                return taus;
+            };
+            tau = w;
+            while let Some(&(_, v, c)) = edges.get(next).filter(|e| e.0 == tau) {
+                adj[v].push(c);
+                next += 1;
+            }
+        }
+        taus.push(tau);
+    }
+    taus
+}
+
+/// Kuhn's augmenting-path search over a capacitated matching that grows
+/// one left node at a time.
+struct Kuhn<'a> {
+    caps: &'a [usize],
+    /// `occupants[c]` = left nodes currently assigned to color `c`.
+    occupants: Vec<Vec<usize>>,
+    assigned: Vec<Option<usize>>,
+    /// Colors explored by the current search.
+    visited: Vec<bool>,
+}
+
+impl<'a> Kuhn<'a> {
+    fn new(caps: &'a [usize], n_left: usize) -> Self {
+        Kuhn {
+            caps,
+            occupants: vec![Vec::new(); caps.len()],
+            assigned: vec![None; n_left],
+            visited: vec![false; caps.len()],
+        }
+    }
+
+    /// One search from the unassigned node `u`: whether `u` got a color,
+    /// possibly by moving assigned nodes to other colors. A failed search
+    /// changes nothing.
+    fn augment(&mut self, u: usize, adj: &[Vec<usize>]) -> bool {
+        self.visited.fill(false);
+        self.try_assign(u, adj)
+    }
+
+    /// Depth-first augmentation: returns true if `u` got (re)assigned.
+    fn try_assign(&mut self, u: usize, adj: &[Vec<usize>]) -> bool {
         for &c in &adj[u] {
-            if visited[c] {
+            if self.visited[c] {
                 continue;
             }
-            visited[c] = true;
-            if occupants[c].len() < caps[c] {
-                occupants[c].push(u);
-                assigned[u] = Some(c);
+            self.visited[c] = true;
+            if self.occupants[c].len() < self.caps[c] {
+                self.occupants[c].push(u);
+                self.assigned[u] = Some(c);
                 return true;
             }
             // Color full: try to relocate one of its occupants.
-            for slot in 0..occupants[c].len() {
-                let w = occupants[c][slot];
-                if try_assign(w, adj, caps, occupants, assigned, visited) {
+            for slot in 0..self.occupants[c].len() {
+                let w = self.occupants[c][slot];
+                if self.try_assign(w, adj) {
                     // w moved elsewhere (try_assign pushed w onto its new
                     // color); remove w's stale slot here and take it.
-                    let pos = occupants[c]
+                    let pos = self.occupants[c]
                         .iter()
                         .position(|&x| x == w)
                         .expect("stale occupant present");
-                    occupants[c].swap_remove(pos);
-                    occupants[c].push(u);
-                    assigned[u] = Some(c);
+                    self.occupants[c].swap_remove(pos);
+                    self.occupants[c].push(u);
+                    self.assigned[u] = Some(c);
                     return true;
                 }
             }
         }
         false
-    }
-
-    let mut size = 0usize;
-    let mut visited = vec![false; n_colors];
-    for u in 0..n_left {
-        visited.fill(false);
-        if try_assign(u, adj, caps, &mut occupants, &mut assigned, &mut visited) {
-            size += 1;
-        } else if stop_at_failure {
-            break;
-        }
-    }
-
-    let load = occupants.iter().map(Vec::len).collect();
-    CapacitatedMatching {
-        assigned,
-        load,
-        size,
     }
 }
 
@@ -126,6 +169,62 @@ mod tests {
     use super::*;
     use crate::brute::brute_force_capacitated_size;
     use proptest::prelude::*;
+
+    /// The per-prefix threshold search that [`super::prefix_thresholds`]
+    /// replaced, kept as its oracle: for each prefix, the sorted distinct
+    /// finite weights of its rows, binary-searched with a from-scratch
+    /// matching, up to the first prefix that even its largest weight
+    /// cannot match.
+    mod reference {
+        use crate::max_capacitated_matching;
+
+        pub(super) fn prefix_thresholds(caps: &[usize], rows: usize, weights: &[f64]) -> Vec<f64> {
+            let ncolors = caps.len();
+            let mut taus = Vec::new();
+            let mut cands: Vec<f64> = Vec::new();
+            let mut adj: Vec<Vec<usize>> = vec![Vec::new(); rows];
+            for j in 1..=rows {
+                cands.extend(
+                    weights[(j - 1) * ncolors..j * ncolors]
+                        .iter()
+                        .copied()
+                        .filter(|d| d.is_finite()),
+                );
+                cands.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                cands.dedup();
+                if cands.is_empty() {
+                    break;
+                }
+                let mut feasible = |tau: f64| -> bool {
+                    for (p, row) in adj[..j].iter_mut().enumerate() {
+                        row.clear();
+                        row.extend(
+                            weights[p * ncolors..(p + 1) * ncolors]
+                                .iter()
+                                .enumerate()
+                                .filter(|(_, &d)| d <= tau)
+                                .map(|(c, _)| c),
+                        );
+                    }
+                    max_capacitated_matching(caps, &adj[..j]).is_left_perfect()
+                };
+                if !feasible(*cands.last().expect("non-empty")) {
+                    break;
+                }
+                let (mut lo, mut hi) = (0usize, cands.len() - 1);
+                while lo < hi {
+                    let mid = (lo + hi) / 2;
+                    if feasible(cands[mid]) {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                taus.push(cands[lo]);
+            }
+            taus
+        }
+    }
 
     fn check_valid(m: &CapacitatedMatching, caps: &[usize], adj: &[Vec<usize>]) {
         let mut load = vec![0usize; caps.len()];
@@ -214,19 +313,29 @@ mod tests {
         }
 
         #[test]
-        fn early_exit_agrees_with_the_full_matching(
-            caps in proptest::collection::vec(0usize..4, 1..6),
-            adj_raw in proptest::collection::vec(
-                proptest::collection::vec(0usize..6, 0..6), 0..12),
+        fn prefix_thresholds_match_the_reference_search(
+            caps in proptest::collection::vec(0usize..4, 1..7),
+            // A small grid makes ties; the rest are the non-finite
+            // weights and both zeros.
+            raw in proptest::collection::vec(
+                prop_oneof![
+                    (0u32..5).prop_map(f64::from),
+                    Just(f64::INFINITY),
+                    Just(f64::NAN),
+                    Just(0.0),
+                    Just(-0.0),
+                ],
+                0..96,
+            ),
         ) {
-            // Adjacency lists keep their drawn order and duplicates.
-            let adj: Vec<Vec<usize>> = adj_raw
-                .into_iter()
-                .map(|nb| nb.into_iter().filter(|&c| c < caps.len()).collect())
-                .collect();
+            let ncolors = caps.len();
+            let rows = (raw.len() / ncolors).min(16);
+            let weights = &raw[..rows * ncolors];
+            let got = prefix_thresholds(&caps, rows, |v, c| weights[v * ncolors + c]);
+            let want = reference::prefix_thresholds(&caps, rows, weights);
             prop_assert_eq!(
-                has_left_perfect_matching(&caps, &adj),
-                max_capacitated_matching(&caps, &adj).is_left_perfect()
+                got.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
             );
         }
     }

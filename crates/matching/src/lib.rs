@@ -8,7 +8,8 @@
 //!   *distinct color slot* — a matching between heads and colors where
 //!   color `i` has capacity `k_i`;
 //! * **Jones** (fair k-center via maximum matching): the same question for
-//!   Gonzalez pivot prefixes and a distance threshold `τ`.
+//!   Gonzalez pivot prefixes and a distance threshold `τ`, answered for
+//!   every prefix at once by [`prefix_thresholds`].
 //!
 //! This crate implements [`hopcroft_karp`] (maximum-cardinality matching
 //! in `O(E√V)`) for one-to-one instances, and [`capacitated`] matching
@@ -20,5 +21,5 @@ pub mod brute;
 pub mod capacitated;
 pub mod hopcroft_karp;
 
-pub use capacitated::{has_left_perfect_matching, max_capacitated_matching, CapacitatedMatching};
+pub use capacitated::{max_capacitated_matching, prefix_thresholds, CapacitatedMatching};
 pub use hopcroft_karp::{max_bipartite_matching, BipartiteMatching};

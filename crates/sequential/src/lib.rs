@@ -288,6 +288,20 @@ pub(crate) mod testutil {
             })
             .collect()
     }
+
+    /// Each center's color and coordinate bits, in order: the form in
+    /// which the reference-copy tests compare solutions.
+    pub fn center_bits(centers: &[Colored<EuclidPoint>]) -> Vec<(u32, Vec<u64>)> {
+        centers
+            .iter()
+            .map(|c| {
+                (
+                    c.color,
+                    c.point.coords().iter().map(|x| x.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -19,10 +19,12 @@
 //!   joint radius search is not — the color matching can fail on a band
 //!   of mid-range radii while succeeding below and above it):
 //!   1. heads and outliers come from `robust_kcenter` (sound by CKMN);
-//!   2. a second binary search finds the smallest threshold `τ` such
-//!      that heads admit a perfect capacitated color matching using
-//!      *inlier* witnesses within `τ` of each head — the adjacency grows
-//!      with `τ`, so perfect-matching feasibility is monotone;
+//!   2. the smallest threshold `τ` such that the heads admit a perfect
+//!      capacitated color matching using *inlier* witnesses within `τ`
+//!      of each head — the adjacency grows with `τ`, so perfect-matching
+//!      feasibility is monotone, and the last entry of
+//!      [`prefix_thresholds`] is that `τ`; one matching at `τ` then
+//!      picks the witnesses;
 //!   3. each head is replaced by its matched witness. Inliers covered
 //!      within `3r` of a head are then within `3r + τ` of a center.
 //!
@@ -43,7 +45,7 @@
 //! rows; the reported radius is re-ranked exactly.
 
 use crate::{validate, FairCenterSolver, FairSolution, Instance, SolveError};
-use fairsw_matching::{has_left_perfect_matching, max_capacitated_matching};
+use fairsw_matching::{max_capacitated_matching, prefix_thresholds};
 use fairsw_metric::{Colored, CoresetView, Metric};
 
 /// Result of a robust (outlier-tolerant) clustering call.
@@ -128,7 +130,12 @@ pub fn robust_kcenter<M: Metric>(
     view.gather_colored(metric, points.iter());
     let (heads, outliers, _) = robust_heads(metric, &view, k, z);
     let centers: Vec<Colored<M::Point>> = heads.iter().map(|&i| points[i].clone()).collect();
-    let radius = inlier_radius(metric, &view, &centers, &outliers);
+    let radius = inlier_radius(
+        metric,
+        &view,
+        &centers,
+        &outlier_mask(view.len(), &outliers),
+    );
     RobustSolution {
         centers,
         radius,
@@ -183,16 +190,24 @@ fn robust_heads<M: Metric>(
     (heads, outliers, cands[lo])
 }
 
-/// Covering radius over the staged points not listed in `outliers`: one
+/// `is_out[i]` iff staged point `i` is listed in `outliers`.
+fn outlier_mask(n: usize, outliers: &[usize]) -> Vec<bool> {
+    let mut is_out = vec![false; n];
+    for &i in outliers {
+        is_out[i] = true;
+    }
+    is_out
+}
+
+/// Covering radius over the staged points not marked in `is_out`: one
 /// kernel call per center merged into running minima, then a maximum
 /// over the inlier rows.
 fn inlier_radius<M: Metric>(
     metric: &M,
     view: &CoresetView<M::Point>,
     centers: &[Colored<M::Point>],
-    outliers: &[usize],
+    is_out: &[bool],
 ) -> f64 {
-    let out: std::collections::HashSet<usize> = outliers.iter().copied().collect();
     let (mut dbuf, mut mind) = (Vec::new(), Vec::new());
     crate::min_over_centers(
         metric,
@@ -202,11 +217,8 @@ fn inlier_radius<M: Metric>(
         &mut mind,
     );
     let mut r: f64 = 0.0;
-    for (i, &d) in mind.iter().enumerate() {
-        if out.contains(&i) {
-            continue;
-        }
-        if d > r {
+    for (&d, &out) in mind.iter().zip(is_out) {
+        if !out && d > r {
             r = d;
         }
     }
@@ -270,7 +282,7 @@ impl RobustFair {
                 outliers: Vec::new(),
             });
         }
-        let out_set: std::collections::HashSet<usize> = outliers.iter().copied().collect();
+        let is_out = outlier_mask(view.len(), &outliers);
 
         // Stage 2: nearest *inlier* witness of each color per head —
         // one kernel call per head, outliers skipped in the merge, with
@@ -281,7 +293,7 @@ impl RobustFair {
             inst.metric
                 .dist_one_to_many(view.point(h), &view, &mut dbuf);
             for (qi, q) in inst.points.iter().enumerate() {
-                if out_set.contains(&qi) {
+                if is_out[qi] {
                     continue;
                 }
                 let d = dbuf[qi];
@@ -292,50 +304,24 @@ impl RobustFair {
             }
         }
 
-        // Candidate thresholds; perfect matching is monotone in τ.
-        let mut taus: Vec<f64> = mind
-            .iter()
-            .flat_map(|row| row.iter().map(|&(d, _)| d))
-            .filter(|d| d.is_finite())
-            .collect();
-        taus.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        taus.dedup();
-
-        let adj_at = |tau: f64| -> Vec<Vec<usize>> {
-            mind.iter()
-                .map(|row| {
-                    row.iter()
-                        .enumerate()
-                        .filter(|(_, &(d, _))| d <= tau)
-                        .map(|(c, _)| c)
-                        .collect()
-                })
-                .collect()
-        };
-        let feasible = |tau: f64| has_left_perfect_matching(inst.caps, &adj_at(tau));
-        let matching_at = |tau: f64| max_capacitated_matching(inst.caps, &adj_at(tau));
-
-        let assignment = if taus.is_empty() {
-            None
-        } else if feasible(*taus.last().expect("non-empty")) {
-            let (mut lo, mut hi) = (0usize, taus.len() - 1);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if feasible(taus[mid]) {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            Some(matching_at(taus[lo]))
+        // The smallest threshold at which every head matches; perfect
+        // matching is monotone in τ. If none does, the loosest threshold
+        // admits every finite witness (as the largest finite distance
+        // would), and stage 3 drops the heads left unmatched.
+        let taus = prefix_thresholds(inst.caps, heads.len(), |h, c| mind[h][c].0);
+        let tau = if taus.len() == heads.len() {
+            taus[taus.len() - 1]
         } else {
-            None
+            f64::MAX
         };
+        let adj: Vec<Vec<usize>> = mind
+            .iter()
+            .map(|row| (0..ncolors).filter(|&c| row[c].0 <= tau).collect())
+            .collect();
+        let matching = max_capacitated_matching(inst.caps, &adj);
 
         // Stage 3: replace heads by witnesses; drop unmatched heads when
         // no perfect matching exists at any threshold.
-        let matching =
-            assignment.unwrap_or_else(|| matching_at(taus.last().copied().unwrap_or(0.0)));
         let mut seen = std::collections::HashSet::new();
         let centers: Vec<Colored<M::Point>> = matching
             .assigned
@@ -354,7 +340,7 @@ impl RobustFair {
                 outliers: Vec::new(),
             });
         }
-        let radius = inlier_radius(inst.metric, &view, &centers, &outliers);
+        let radius = inlier_radius(inst.metric, &view, &centers, &is_out);
         Ok(RobustSolution {
             centers,
             radius,
@@ -382,17 +368,23 @@ impl<M: Metric> FairCenterSolver<M> for RobustFair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::pts1d;
+    use crate::testutil::{center_bits, pts1d};
     use fairsw_metric::{
         Angular, Chebyshev, EuclidPoint, Euclidean, Exactness, Manhattan, Relaxed,
     };
     use proptest::prelude::*;
 
-    /// Head selection without the pairwise matrix: kernel rows per probe,
-    /// scalar distances once most points are covered. Kept verbatim as
-    /// the oracle that [`super::robust_heads`] must reproduce.
+    /// Earlier versions kept verbatim as oracles: head selection without
+    /// the pairwise matrix (kernel rows per probe, scalar distances once
+    /// most points are covered), which [`super::robust_heads`] must
+    /// reproduce, and the stage-2 threshold search by binary search with
+    /// a rebuilt adjacency per probe and a hash set of outliers, which
+    /// [`RobustFair::solve_robust`] must reproduce. Each probe there asks
+    /// the full matching whether it is left-perfect.
     mod reference {
-        use fairsw_metric::{CoresetView, Metric};
+        use crate::{validate, Instance, RobustSolution, SolveError};
+        use fairsw_matching::max_capacitated_matching;
+        use fairsw_metric::{Colored, CoresetView, Metric};
 
         fn greedy_disks<M: Metric>(
             metric: &M,
@@ -482,6 +474,159 @@ mod tests {
             let (heads, outliers) = feasible(cands[lo]).expect("lo feasible");
             (heads, outliers, cands[lo])
         }
+
+        fn inlier_radius<M: Metric>(
+            metric: &M,
+            view: &CoresetView<M::Point>,
+            centers: &[Colored<M::Point>],
+            outliers: &[usize],
+        ) -> f64 {
+            let out: std::collections::HashSet<usize> = outliers.iter().copied().collect();
+            let (mut dbuf, mut mind) = (Vec::new(), Vec::new());
+            crate::min_over_centers(
+                metric,
+                view,
+                centers.iter().map(|c| &c.point),
+                &mut dbuf,
+                &mut mind,
+            );
+            let mut r: f64 = 0.0;
+            for (i, &d) in mind.iter().enumerate() {
+                if out.contains(&i) {
+                    continue;
+                }
+                if d > r {
+                    r = d;
+                }
+            }
+            r
+        }
+
+        pub(super) fn solve_robust<M: Metric>(
+            z: usize,
+            inst: &Instance<'_, M>,
+        ) -> Result<RobustSolution<M::Point>, SolveError> {
+            validate(inst)?;
+            let k = inst.k();
+            let ncolors = inst.num_colors();
+            let mut view = CoresetView::new();
+            view.gather_colored(inst.metric, inst.points.iter());
+
+            let (heads, outliers, _r) = super::super::robust_heads(inst.metric, &view, k, z);
+            if heads.is_empty() {
+                return Ok(RobustSolution {
+                    centers: vec![inst.points[0].clone()],
+                    radius: inst.radius_of(std::slice::from_ref(&inst.points[0])),
+                    outliers: Vec::new(),
+                });
+            }
+            let out_set: std::collections::HashSet<usize> = outliers.iter().copied().collect();
+
+            let mut mind = vec![vec![(f64::INFINITY, usize::MAX); ncolors]; heads.len()];
+            let mut dbuf = vec![0.0f64; view.len()];
+            for (hi, &h) in heads.iter().enumerate() {
+                inst.metric
+                    .dist_one_to_many(view.point(h), &view, &mut dbuf);
+                for (qi, q) in inst.points.iter().enumerate() {
+                    if out_set.contains(&qi) {
+                        continue;
+                    }
+                    let d = dbuf[qi];
+                    let slot = &mut mind[hi][q.color as usize];
+                    if d < slot.0 {
+                        *slot = (d, qi);
+                    }
+                }
+            }
+
+            let mut taus: Vec<f64> = mind
+                .iter()
+                .flat_map(|row| row.iter().map(|&(d, _)| d))
+                .filter(|d| d.is_finite())
+                .collect();
+            taus.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            taus.dedup();
+
+            let adj_at = |tau: f64| -> Vec<Vec<usize>> {
+                mind.iter()
+                    .map(|row| {
+                        row.iter()
+                            .enumerate()
+                            .filter(|(_, &(d, _))| d <= tau)
+                            .map(|(c, _)| c)
+                            .collect()
+                    })
+                    .collect()
+            };
+            let feasible =
+                |tau: f64| max_capacitated_matching(inst.caps, &adj_at(tau)).is_left_perfect();
+            let matching_at = |tau: f64| max_capacitated_matching(inst.caps, &adj_at(tau));
+
+            let assignment = if taus.is_empty() {
+                None
+            } else if feasible(*taus.last().expect("non-empty")) {
+                let (mut lo, mut hi) = (0usize, taus.len() - 1);
+                while lo < hi {
+                    let mid = (lo + hi) / 2;
+                    if feasible(taus[mid]) {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                Some(matching_at(taus[lo]))
+            } else {
+                None
+            };
+
+            let matching =
+                assignment.unwrap_or_else(|| matching_at(taus.last().copied().unwrap_or(0.0)));
+            let mut seen = std::collections::HashSet::new();
+            let centers: Vec<Colored<M::Point>> = matching
+                .assigned
+                .iter()
+                .enumerate()
+                .filter_map(|(h, a)| a.map(|c| mind[h][c].1))
+                .filter(|&w| w != usize::MAX && seen.insert(w))
+                .map(|w| inst.points[w].clone())
+                .collect();
+            if centers.is_empty() {
+                return Ok(RobustSolution {
+                    centers: vec![inst.points[0].clone()],
+                    radius: inst.radius_of(std::slice::from_ref(&inst.points[0])),
+                    outliers: Vec::new(),
+                });
+            }
+            let radius = inlier_radius(inst.metric, &view, &centers, &outliers);
+            Ok(RobustSolution {
+                centers,
+                radius,
+                outliers,
+            })
+        }
+    }
+
+    /// `RobustFair` and the reference agree on the centers (order, colors
+    /// and coordinates), the radius bits and the outliers, or fail alike.
+    fn robust_fair_matches_reference<M: Metric<Point = EuclidPoint>>(
+        metric: &M,
+        pts: &[Colored<EuclidPoint>],
+        caps: &[usize],
+        z: usize,
+    ) -> Result<(), TestCaseError> {
+        let inst = Instance::new(metric, pts, caps);
+        match (
+            RobustFair::new(z).solve_robust(&inst),
+            reference::solve_robust(z, &inst),
+        ) {
+            (Ok(got), Ok(want)) => {
+                prop_assert_eq!(center_bits(&got.centers), center_bits(&want.centers));
+                prop_assert_eq!(got.radius.to_bits(), want.radius.to_bits());
+                prop_assert_eq!(got.outliers, want.outliers);
+            }
+            (got, want) => prop_assert_eq!(got.err(), want.err()),
+        }
+        Ok(())
     }
 
     /// Both head selections over the same staged points must agree index
@@ -504,6 +649,33 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn stage_two_matches_the_reference(
+            dim in 1usize..4,
+            raw in collection::vec(
+                (prop_oneof![(0u32..4).prop_map(f64::from), -3.0..3.0f64], 0u32..5),
+                1..90,
+            ),
+            caps in collection::vec(1usize..4, 1..6),
+            // Colors at or above `present` miss from the instance, so no
+            // threshold matches every head and the fallback runs.
+            present in 1u32..6,
+            z in 0usize..30,
+        ) {
+            let pts: Vec<Colored<EuclidPoint>> = raw
+                .chunks_exact(dim)
+                .map(|c| {
+                    let coords: Vec<f64> = c.iter().map(|&(x, _)| x).collect();
+                    let color = c[0].1 % present.min(caps.len() as u32);
+                    Colored::new(EuclidPoint::new(coords), color)
+                })
+                .collect();
+            if !pts.is_empty() {
+                robust_fair_matches_reference(&Euclidean, &pts, &caps, z)?;
+                robust_fair_matches_reference(&Chebyshev, &pts, &caps, z)?;
+            }
+        }
 
         #[test]
         fn matrix_heads_match_the_reference_in_exact_mode(
